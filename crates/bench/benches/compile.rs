@@ -14,8 +14,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ic_core::controller::WorkloadEvaluator;
 use ic_core::IntelligentCompiler;
 use ic_machine::{
-    simulate_decoded, simulate_fused, simulate_legacy, Counter, DecodeCache, DecodeCacheConfig,
-    MachineConfig, Memory,
+    simulate_decoded, simulate_legacy, Counter, DecodeCache, DecodeCacheConfig, MachineConfig,
+    Memory,
 };
 use ic_passes::{apply_sequence, Opt, PrefixCache, PrefixCacheConfig};
 use ic_predict::{select_and_train, PredictThenVerify, TrainingSet};
@@ -94,9 +94,8 @@ struct SimThroughput {
 }
 
 /// Simulator-tier comparison on the same compiled module: the legacy
-/// tree-walking interpreter vs the pre-decoded threaded-code engine vs
-/// the fused block-compiled tier (decode and block compilation amortized
-/// through a [`DecodeCache`], as in production).
+/// tree-walking interpreter vs the pre-decoded threaded-code engine
+/// (decoding amortized through a [`DecodeCache`], as in production).
 #[derive(Serialize)]
 struct SimReport {
     workload: String,
@@ -107,21 +106,15 @@ struct SimReport {
     runs: u64,
     legacy: SimThroughput,
     decoded: SimThroughput,
-    fused: SimThroughput,
-    /// decoded insts/s over legacy insts/s. CI gates >= 1.5x hard.
-    decoded_speedup: f64,
-    /// fused insts/s over legacy insts/s — the headline number. CI
-    /// gates >= 1.5x hard plus fused >= 0.9x decoded; see
+    /// decoded insts/s over legacy insts/s. CI gates >= 1.5x hard; see
     /// EXPERIMENTS.md "Simulator tier throughput" for why the timing
-    /// model's serial dependency chain, shared by every tier, caps this
-    /// ratio near the decoded tier's.
-    fused_speedup: f64,
+    /// model's serial dependency chain caps it near 2x.
+    decoded_speedup: f64,
     decode_cache: ic_obs::DecodeCacheStats,
-    fused_tier: ic_obs::FusedTierStats,
 }
 
 /// Per-tier simulated-instruction throughput over ~`runs` evaluations of
-/// `m` per tier (first decode/compile memoized, as in production
+/// `m` per tier (first decode memoized, as in production
 /// search), timed as interleaved best-of batches.
 fn measure_sim(m: &ic_ir::Module, cfg: &MachineConfig, fuel: u64, runs: u64) -> SimReport {
     let run_legacy = || simulate_legacy(m, cfg, Memory::for_module(m), fuel).expect("legacy run");
@@ -130,19 +123,12 @@ fn measure_sim(m: &ic_ir::Module, cfg: &MachineConfig, fuel: u64, runs: u64) -> 
         let prog = cache.get_or_decode(m, cfg);
         simulate_decoded(&prog, cfg, Memory::for_module(m), fuel).expect("decoded run")
     };
-    let run_fused = || {
-        let prog = cache.get_or_fuse(m, cfg);
-        simulate_fused(&prog, cfg, Memory::for_module(m), fuel).expect("fused run")
-    };
     // Tiers must agree bit-for-bit before a throughput claim means
     // anything (the differential tests pin this; re-checked here).
     let l = run_legacy();
     let d = run_decoded();
-    let f = run_fused();
     assert_eq!(l.ret, d.ret, "decoded disagrees on return value");
     assert_eq!(l.counters, d.counters, "decoded disagrees on counters");
-    assert_eq!(l.ret, f.ret, "fused disagrees on return value");
-    assert_eq!(l.counters, f.counters, "fused disagrees on counters");
     let insts_per_run = l.counters.get(Counter::TOT_INS);
 
     // Interleaved best-of: CI machines are noisy neighbours, so a plain
@@ -158,7 +144,6 @@ fn measure_sim(m: &ic_ir::Module, cfg: &MachineConfig, fuel: u64, runs: u64) -> 
     let (batches, per_batch) = (runs.div_ceil(4).max(32), 4u64);
     let mut legacy_s = f64::INFINITY;
     let mut decoded_s = f64::INFINITY;
-    let mut fused_s = f64::INFINITY;
     for _ in 0..batches {
         let start = Instant::now();
         for _ in 0..per_batch {
@@ -170,17 +155,11 @@ fn measure_sim(m: &ic_ir::Module, cfg: &MachineConfig, fuel: u64, runs: u64) -> 
             std::hint::black_box(run_decoded());
         }
         decoded_s = decoded_s.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        for _ in 0..per_batch {
-            std::hint::black_box(run_fused());
-        }
-        fused_s = fused_s.min(start.elapsed().as_secs_f64());
     }
 
     let batch_insts = (insts_per_run * per_batch) as f64;
     let legacy_ips = batch_insts / legacy_s;
     let decoded_ips = batch_insts / decoded_s;
-    let fused_ips = batch_insts / fused_s;
     SimReport {
         workload: "adpcm_scaled(256)".into(),
         insts_per_run,
@@ -193,14 +172,8 @@ fn measure_sim(m: &ic_ir::Module, cfg: &MachineConfig, fuel: u64, runs: u64) -> 
             seconds: decoded_s,
             insts_per_sec: decoded_ips,
         },
-        fused: SimThroughput {
-            seconds: fused_s,
-            insts_per_sec: fused_ips,
-        },
         decoded_speedup: decoded_ips / legacy_ips,
-        fused_speedup: fused_ips / legacy_ips,
         decode_cache: cache.stats(),
-        fused_tier: cache.fused_stats(),
     }
 }
 
@@ -311,8 +284,7 @@ struct Report {
     /// unprofiled cached run (min-of-reps on both sides; CI gates <5%).
     profiling_overhead_pct: f64,
     /// Simulated-instruction throughput: legacy interpreter vs the
-    /// pre-decoded threaded-code engine vs the fused block-compiled
-    /// tier (CI gates both speedups).
+    /// pre-decoded threaded-code engine (CI gates the speedup).
     sim: SimReport,
     /// Predict-then-verify search vs plain cached search (CI gates
     /// savings_factor >= 3.0 and best_cost_ratio <= 1.05).
@@ -399,8 +371,7 @@ fn emit_report(_c: &mut Criterion) {
     let sim = measure_sim(&opt, &cfg, fuel, 25);
     metrics.sim = ic_obs::SimStats {
         decode: sim.decode_cache,
-        fused: sim.fused_tier,
-        sim_nanos: (sim.fused.seconds * 1e9) as u64,
+        sim_nanos: (sim.decoded.seconds * 1e9) as u64,
         insts_simulated: sim.insts_per_run * sim.runs,
     };
     metrics.corpus = ic_workloads::corpus_stats(ic_workloads::SuiteScale::Small);
@@ -445,12 +416,10 @@ fn emit_report(_c: &mut Criterion) {
         report.profiling_overhead_pct
     );
     println!(
-        "sim: legacy {:.2}M insts/s -> decoded {:.2}M insts/s ({:.2}x) -> fused {:.2}M insts/s ({:.2}x)",
+        "sim: legacy {:.2}M insts/s -> decoded {:.2}M insts/s ({:.2}x)",
         report.sim.legacy.insts_per_sec / 1e6,
         report.sim.decoded.insts_per_sec / 1e6,
-        report.sim.decoded_speedup,
-        report.sim.fused.insts_per_sec / 1e6,
-        report.sim.fused_speedup
+        report.sim.decoded_speedup
     );
     println!(
         "predict: {} model ({} rows, spearman {:.3}): {} verified + {} predicted \

@@ -3,8 +3,8 @@
 //! BENCH_compile.json; this exists for fast iteration on the tiers.
 
 use ic_machine::{
-    simulate_decoded, simulate_fused, simulate_legacy, Counter, DecodeCache, DecodeCacheConfig,
-    MachineConfig, Memory,
+    simulate_decoded, simulate_legacy, Counter, DecodeCache, DecodeCacheConfig, MachineConfig,
+    Memory,
 };
 use ic_passes::apply_sequence;
 use std::time::Instant;
@@ -30,16 +30,7 @@ fn main() {
 
     let cache = DecodeCache::new(DecodeCacheConfig::default());
     let dec = cache.get_or_decode(&m, &cfg);
-    let fused = cache.get_or_fuse(&m, &cfg);
-    let s = fused.summary();
-    println!(
-        "program: {} micro-ops, {} blocks (avg {:.1} insts/block), {} superinstructions, {:.1}% of micro-ops fused",
-        dec.num_ops(),
-        s.blocks,
-        s.micro_ops_lowered as f64 / s.blocks as f64,
-        s.superinstructions_fused,
-        s.fusion_ratio() * 100.0
-    );
+    println!("program: {} micro-ops", dec.num_ops());
 
     let l = simulate_legacy(&m, &cfg, Memory::for_module(&m), fuel).unwrap();
     let insts = l.counters.get(Counter::TOT_INS);
@@ -57,7 +48,7 @@ fn main() {
         .nth(1)
         .and_then(|a| a.parse().ok())
         .unwrap_or(6);
-    let mut best = [f64::INFINITY; 3];
+    let mut best = [f64::INFINITY; 2];
     for _ in 0..reps {
         let t = Instant::now();
         std::hint::black_box(simulate_legacy(&m, &cfg, Memory::for_module(&m), fuel).unwrap());
@@ -65,9 +56,6 @@ fn main() {
         let t = Instant::now();
         std::hint::black_box(simulate_decoded(&dec, &cfg, Memory::for_module(&m), fuel).unwrap());
         best[1] = best[1].min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        std::hint::black_box(simulate_fused(&fused, &cfg, Memory::for_module(&m), fuel).unwrap());
-        best[2] = best[2].min(t.elapsed().as_secs_f64());
     }
     let ips = |s: f64| insts as f64 / s / 1e6;
     println!(
@@ -80,11 +68,5 @@ fn main() {
         ips(best[1]),
         best[1] * 1e9 / insts as f64,
         best[0] / best[1]
-    );
-    println!(
-        "fused   {:7.2}M insts/s ({:.2} ns/inst, {:.2}x)",
-        ips(best[2]),
-        best[2] * 1e9 / insts as f64,
-        best[0] / best[2]
     );
 }

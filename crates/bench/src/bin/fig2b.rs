@@ -254,17 +254,7 @@ fn main() {
         sim.decode.bytes
     );
     println!(
-        "fused tier         : {} hits / {} misses ({:.1}% hit rate), \
-         {} blocks / {} superinstructions ({:.1}% of micro-ops fused)",
-        sim.fused.hits,
-        sim.fused.misses,
-        sim.fused.hit_rate() * 100.0,
-        sim.fused.blocks_compiled,
-        sim.fused.superinstructions_fused,
-        sim.fused.fusion_ratio() * 100.0
-    );
-    println!(
-        "fused simulator    : {} insts in {:.1} ms ({:.2}M simulated insts/s)",
+        "simulator          : {} insts in {:.1} ms ({:.2}M simulated insts/s)",
         sim.insts_simulated,
         sim.sim_nanos as f64 / 1e6,
         sim.insts_per_second() / 1e6

@@ -9,7 +9,7 @@
 use ic_features::{combined_feature_names, combined_features, static_features};
 use ic_kb::{ArchRecord, ExperimentRecord, KnowledgeBase, ProgramRecord};
 use ic_machine::{
-    microbench, simulate_decoded, simulate_default, simulate_fused, simulate_legacy, DecodeCache,
+    microbench, simulate_decoded, simulate_default, simulate_legacy, DecodeCache,
     DecodeCacheConfig, MachineConfig, Memory, PerfCounters, RunResult, SimError,
 };
 use ic_obs::{Histogram, Registry, SimStats};
@@ -133,21 +133,16 @@ impl WorkloadEvaluator {
         self.run_module(&m)
     }
 
-    /// Simulate one compiled module on the fused block-compiled tier
-    /// through the shared [`DecodeCache`], timing the evaluation.
-    /// `IC_SIM_DECODED=1` drops to the per-op threaded-code tier and
-    /// `IC_SIM_LEGACY=1` routes through the tree-walking oracle instead
-    /// (both still timed).
+    /// Simulate one compiled module on the decoded tier through the
+    /// shared [`DecodeCache`], timing the evaluation. `IC_SIM_LEGACY=1`
+    /// routes through the tree-walking oracle instead (still timed).
     fn run_module(&self, m: &ic_ir::Module) -> Result<RunResult, SimError> {
         let t0 = Instant::now();
         let result = if ic_machine::legacy_forced() {
             simulate_legacy(m, &self.config, Memory::for_module(m), self.fuel)
-        } else if ic_machine::decoded_forced() {
+        } else {
             let prog = self.decode.get_or_decode(m, &self.config);
             simulate_decoded(&prog, &self.config, Memory::for_module(m), self.fuel)
-        } else {
-            let prog = self.decode.get_or_fuse(m, &self.config);
-            simulate_fused(&prog, &self.config, Memory::for_module(m), self.fuel)
         };
         let ns = t0.elapsed().as_nanos() as u64;
         self.sim_nanos.fetch_add(ns, Ordering::Relaxed);
@@ -161,12 +156,11 @@ impl WorkloadEvaluator {
         result
     }
 
-    /// Simulator-side statistics: decode-cache and fused-tier counters
-    /// plus total sim wall time and instructions retired (for insts/sec).
+    /// Simulator-side statistics: decode-cache counters plus total sim
+    /// wall time and instructions retired (for insts/sec).
     pub fn sim_stats(&self) -> SimStats {
         SimStats {
             decode: self.decode.stats(),
-            fused: self.decode.fused_stats(),
             sim_nanos: self.sim_nanos.load(Ordering::Relaxed),
             insts_simulated: self.insts_simulated.load(Ordering::Relaxed),
         }

@@ -679,6 +679,41 @@ mod tests {
         assert!(back.metrics.is_empty());
     }
 
+    /// Stores written while the simulator still had a fused block tier
+    /// carry a `sim.fused` object in every metrics snapshot. The snapshot
+    /// schema has since dropped it; unknown keys must be ignored so those
+    /// stores (and the daemons that open them) keep loading.
+    #[test]
+    fn metrics_with_a_retired_sim_fused_block_still_load() {
+        let mut kb = KnowledgeBase::new();
+        let mut snap = ic_obs::Snapshot::for_context("eng@vliw");
+        snap.sim.decode.hits = 9;
+        snap.sim.insts_simulated = 1_000;
+        kb.upsert_metrics(MetricsRecord {
+            context: "eng@vliw".into(),
+            unix_ms: 1_000,
+            snapshot: snap,
+        });
+        let fused = r#""sim": {
+        "fused": {
+          "hits": 9,
+          "misses": 1,
+          "programs": 1,
+          "bytes": 512,
+          "blocks_compiled": 8,
+          "superinstructions_fused": 6,
+          "micro_ops_lowered": 40,
+          "micro_ops_fused": 30
+        },"#;
+        let json = kb.to_json().replacen(r#""sim": {"#, fused, 1);
+        assert!(json.contains("\"fused\""), "fixture injected: {json}");
+
+        let back = KnowledgeBase::from_json(&json).expect("old store loads");
+        let sim = &back.metrics_for("eng@vliw").unwrap().snapshot.sim;
+        assert_eq!(sim.decode.hits, 9);
+        assert_eq!(sim.insts_simulated, 1_000);
+    }
+
     fn model(ctx: &str, version: u64) -> ModelRecord {
         ModelRecord {
             context: ctx.into(),

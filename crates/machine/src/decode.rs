@@ -9,13 +9,13 @@
 //! pair:
 //!
 //! * every instruction *and terminator* becomes one fixed-size
-//!   [`MicroOp`] in a single contiguous `Vec` spanning all functions;
-//! * operands are pre-resolved [`POp`]s — plain frame indices, no
+//!   `MicroOp` in a single contiguous `Vec` spanning all functions;
+//! * operands are pre-resolved `POp`s — plain frame indices, no
 //!   `Operand` enum left to match: immediates are deduplicated per
 //!   function and *materialized* as extra read-only frame slots, so an
 //!   operand read is one indexed load with no imm-vs-reg branch;
 //! * hot ALU compares fuse with the branch that consumes them, and
-//!   [`DecodedProgram::validate`] proves every index in bounds at decode
+//!   `DecodedProgram::validate` proves every index in bounds at decode
 //!   time so the step loop indexes unchecked;
 //! * block targets are dense op offsets into that array, so control flow
 //!   is `ip = target`, not a `BlockId -> Vec index -> ip reset` dance;
@@ -63,7 +63,7 @@ const NO_REG: u32 = u32::MAX;
 /// Keeping operands at 4 bytes is what holds a [`MicroOp`] to 24 bytes —
 /// more than two ops per cache line in the hot dispatch loop.
 #[derive(Debug, Clone, Copy)]
-pub struct POp(pub(crate) u32);
+struct POp(u32);
 
 impl POp {
     /// SAFETY contract of both accessors: `DecodedProgram::validate`
@@ -72,13 +72,13 @@ impl POp {
     /// `num_regs + imms_len` slots, so the unchecked reads below cannot
     /// go out of bounds.
     #[inline(always)]
-    pub(crate) fn val(self, regs: &[u64]) -> u64 {
+    fn val(self, regs: &[u64]) -> u64 {
         debug_assert!((self.0 as usize) < regs.len());
         unsafe { *regs.get_unchecked(self.0 as usize) }
     }
 
     #[inline(always)]
-    pub(crate) fn ready(self, ready: &[u64]) -> u64 {
+    fn ready(self, ready: &[u64]) -> u64 {
         debug_assert!((self.0 as usize) < ready.len());
         unsafe { *ready.get_unchecked(self.0 as usize) }
     }
@@ -128,7 +128,7 @@ impl ImmPool {
 /// One fixed-size decoded operation (24 bytes, pinned by a test).
 /// Terminators are ops too: control flow is just an `ip` assignment.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum MicroOp {
+enum MicroOp {
     /// `dst = a op b`; `lat` baked from the machine's latency table,
     /// `cls` is the counter class (0 none, 1 FP_INS, 2 MULDIV_INS).
     Bin {
@@ -262,26 +262,26 @@ pub(crate) enum MicroOp {
 
 /// Per-function decode metadata.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct DecodedFunc {
+struct DecodedFunc {
     /// Op offset of the function's entry block.
-    pub(crate) entry_op: u32,
-    pub(crate) num_regs: u32,
+    entry_op: u32,
+    num_regs: u32,
     /// This function's immediate words in the shared imm pool; they are
     /// copied into frame slots `[num_regs, num_regs + imms_len)` at
     /// frame creation.
-    pub(crate) imms_off: u32,
-    pub(crate) imms_len: u32,
+    imms_off: u32,
+    imms_len: u32,
     /// Parameter register indices in the shared param pool.
-    pub(crate) params_off: u32,
-    pub(crate) params_len: u16,
+    params_off: u32,
+    params_len: u16,
     /// Interned function name, for allocation-free error reporting.
-    pub(crate) sym: Symbol,
+    sym: Symbol,
 }
 
 impl DecodedFunc {
     /// This function's slice of the program's immediate pool.
     #[inline]
-    pub(crate) fn imms<'a>(&self, pool: &'a [u64]) -> &'a [u64] {
+    fn imms<'a>(&self, pool: &'a [u64]) -> &'a [u64] {
         &pool[self.imms_off as usize..(self.imms_off + self.imms_len) as usize]
     }
 }
@@ -291,18 +291,14 @@ impl DecodedFunc {
 /// Immutable and internally index-based, so one decoded program is safely
 /// shared (via `Arc`) across simulations, cores and daemon engines.
 pub struct DecodedProgram {
-    pub(crate) ops: Vec<MicroOp>,
+    ops: Vec<MicroOp>,
     /// Per-function immediate words (see [`DecodedFunc::imms_off`]),
     /// preloaded into the tail of each frame's register file.
-    pub(crate) imms: Vec<u64>,
-    pub(crate) args: Vec<POp>,
-    pub(crate) params: Vec<u32>,
-    pub(crate) funcs: Vec<DecodedFunc>,
-    pub(crate) entry: u32,
-    /// `cfg.lat.alu` / `cfg.lat.mov`, baked at decode time so the fuse
-    /// pass can stamp per-op latencies without re-threading the config.
-    pub(crate) alu_lat: u32,
-    pub(crate) mov_lat: u32,
+    imms: Vec<u64>,
+    args: Vec<POp>,
+    params: Vec<u32>,
+    funcs: Vec<DecodedFunc>,
+    entry: u32,
 }
 
 impl DecodedProgram {
@@ -470,8 +466,6 @@ impl DecodedProgram {
             params,
             funcs,
             entry: module.entry.0,
-            alu_lat: u32::try_from(l.alu).expect("alu latency fits in 32 bits"),
-            mov_lat: u32::try_from(l.mov).expect("mov latency fits in 32 bits"),
         };
         prog.validate();
         prog
@@ -591,39 +585,39 @@ impl DecodedProgram {
 
 /// Call frame of the decoded simulator. `ip` is an absolute offset into
 /// the shared op array; `ret_dst == NO_REG` means a void call.
-pub(crate) struct DFrame {
-    pub(crate) func: u32,
-    pub(crate) ip: u32,
-    pub(crate) regs: Vec<u64>,
-    pub(crate) ready: Vec<u64>,
-    pub(crate) ret_dst: u32,
+struct DFrame {
+    func: u32,
+    ip: u32,
+    regs: Vec<u64>,
+    ready: Vec<u64>,
+    ret_dst: u32,
 }
 
 /// The threaded-code simulator: same observable behaviour and the same
 /// resumable [`step`](DecodedSim::step) contract as [`crate::interp::Sim`],
 /// an order of magnitude less interpretive overhead.
 pub struct DecodedSim {
-    pub(crate) prog: Arc<DecodedProgram>,
-    pub(crate) cfg: MachineConfig,
-    pub(crate) mem: Memory,
+    prog: Arc<DecodedProgram>,
+    cfg: MachineConfig,
+    mem: Memory,
     /// Caller frames; the running frame lives in a local inside `step`.
-    pub(crate) frames: Vec<DFrame>,
+    frames: Vec<DFrame>,
     /// Recycled register files, so calls allocate only at peak depth.
-    pub(crate) pool: Vec<(Vec<u64>, Vec<u64>)>,
-    pub(crate) cycle: u64,
-    pub(crate) slots_used: u32,
-    pub(crate) stall: u64,
-    pub(crate) l1: Cache,
-    pub(crate) tlb: Tlb,
-    pub(crate) bp: BranchPredictor,
-    pub(crate) counters: PerfCounters,
-    pub(crate) finished: Option<Option<u64>>,
+    pool: Vec<(Vec<u64>, Vec<u64>)>,
+    cycle: u64,
+    slots_used: u32,
+    stall: u64,
+    l1: Cache,
+    tlb: Tlb,
+    bp: BranchPredictor,
+    counters: PerfCounters,
+    finished: Option<Option<u64>>,
 }
 
 /// Claim an issue slot no earlier than `ops_ready`; returns issue time.
 /// Operates on hoisted locals — the legacy `Sim::issue`, verbatim.
 #[inline(always)]
-pub(crate) fn issue(
+fn issue(
     cycle: &mut u64,
     slots_used: &mut u32,
     stall: &mut u64,
@@ -714,13 +708,7 @@ impl DecodedSim {
     /// walk, returning the latency added on top of the hit cost. The
     /// all-hit fast path lives inline in the step loop; totals match the
     /// legacy interpreter's `mem_access` exactly.
-    pub(crate) fn l1_miss(
-        &mut self,
-        addr: u64,
-        is_write: bool,
-        writeback: bool,
-        l2: &mut Cache,
-    ) -> u64 {
+    fn l1_miss(&mut self, addr: u64, is_write: bool, writeback: bool, l2: &mut Cache) -> u64 {
         let c = &mut self.counters;
         c.bump(Counter::L1_TCM);
         if is_write {
@@ -1305,28 +1293,19 @@ impl Default for DecodeCacheConfig {
 
 struct CacheEntry {
     prog: Arc<DecodedProgram>,
-    /// The block-compiled form, attached lazily on the first
-    /// [`DecodeCache::get_or_fuse`] for this key. Shares the entry's LRU
-    /// slot: evicting the entry drops both tiers together.
-    fused: Option<Arc<crate::jit::FusedProgram>>,
-    /// Decoded-program bytes (fused bytes tracked separately).
     bytes: usize,
-    fused_bytes: usize,
     last_touch: u64,
 }
 
 struct DecodeCacheInner {
     map: HashMap<u128, CacheEntry>,
-    /// Total retained bytes, decoded + fused — one budget for both tiers.
+    /// Total retained decoded-program bytes.
     bytes: usize,
-    fused_bytes: usize,
-    fused_programs: u64,
     tick: u64,
 }
 
 impl DecodeCacheInner {
-    /// LRU-evict whole entries (decoded + attached fused form) until the
-    /// byte budget holds again.
+    /// LRU-evict entries until the byte budget holds again.
     fn evict_to(&mut self, budget: usize, evictions: &AtomicU64) {
         while self.bytes > budget && self.map.len() > 1 {
             let victim = self
@@ -1336,9 +1315,7 @@ impl DecodeCacheInner {
                 .map(|(k, _)| *k)
                 .expect("non-empty map");
             if let Some(e) = self.map.remove(&victim) {
-                self.bytes -= e.bytes + e.fused_bytes;
-                self.fused_bytes -= e.fused_bytes;
-                self.fused_programs -= e.fused.is_some() as u64;
+                self.bytes -= e.bytes;
                 evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -1348,26 +1325,12 @@ impl DecodeCacheInner {
 /// Thread-safe, byte-budgeted memo of decoded programs, keyed by
 /// post-prefix module identity + timing table. Shared across evaluations
 /// and warm daemon engines; LRU-evicted like the pass-prefix cache.
-///
-/// The same store also memoizes the block-compiled (fused) form of each
-/// program: [`DecodeCache::get_or_fuse`] attaches an
-/// [`crate::jit::FusedProgram`] to the decoded entry, counted against the
-/// same byte budget and evicted with it.
 pub struct DecodeCache {
     inner: Mutex<DecodeCacheInner>,
     budget: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    fused_hits: AtomicU64,
-    fused_misses: AtomicU64,
-    /// Cumulative fusion-pass output over every block compile this cache
-    /// performed (monotonic, never decremented on eviction — they
-    /// describe compile work done, not retention).
-    blocks_compiled: AtomicU64,
-    superinstructions_fused: AtomicU64,
-    micro_ops_lowered: AtomicU64,
-    micro_ops_fused: AtomicU64,
 }
 
 impl Default for DecodeCache {
@@ -1383,20 +1346,12 @@ impl DecodeCache {
             inner: Mutex::new(DecodeCacheInner {
                 map: HashMap::new(),
                 bytes: 0,
-                fused_bytes: 0,
-                fused_programs: 0,
                 tick: 0,
             }),
             budget: config.byte_budget,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            fused_hits: AtomicU64::new(0),
-            fused_misses: AtomicU64::new(0),
-            blocks_compiled: AtomicU64::new(0),
-            superinstructions_fused: AtomicU64::new(0),
-            micro_ops_lowered: AtomicU64::new(0),
-            micro_ops_fused: AtomicU64::new(0),
         }
     }
 
@@ -1432,72 +1387,13 @@ impl DecodeCache {
             key,
             CacheEntry {
                 prog: Arc::clone(&prog),
-                fused: None,
                 bytes,
-                fused_bytes: 0,
                 last_touch: tick,
             },
         );
         inner.bytes += bytes;
         inner.evict_to(self.budget, &self.evictions);
         prog
-    }
-
-    /// Return the block-compiled (fused) program for `(module, cfg)`,
-    /// decoding and/or fusing on miss. Fused programs attach to the
-    /// decoded entry, share its byte budget and evict with it; the fuse
-    /// pass never runs under the lock.
-    pub fn get_or_fuse(
-        &self,
-        module: &Module,
-        cfg: &MachineConfig,
-    ) -> Arc<crate::jit::FusedProgram> {
-        let key = module_fingerprint(module, cfg);
-        {
-            let mut inner = self.inner.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(e) = inner.map.get_mut(&key) {
-                e.last_touch = tick;
-                if let Some(f) = &e.fused {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    self.fused_hits.fetch_add(1, Ordering::Relaxed);
-                    return Arc::clone(f);
-                }
-            }
-        }
-        // Fused-side miss: obtain the decoded program (counting its own
-        // hit/miss as usual), compile blocks outside the lock, attach.
-        let prog = self.get_or_decode(module, cfg);
-        self.fused_misses.fetch_add(1, Ordering::Relaxed);
-        let fused = Arc::new(crate::jit::FusedProgram::compile(&prog));
-        let s = fused.summary();
-        self.blocks_compiled.fetch_add(s.blocks, Ordering::Relaxed);
-        self.superinstructions_fused
-            .fetch_add(s.superinstructions_fused, Ordering::Relaxed);
-        self.micro_ops_lowered
-            .fetch_add(s.micro_ops_lowered, Ordering::Relaxed);
-        self.micro_ops_fused
-            .fetch_add(s.micro_ops_fused, Ordering::Relaxed);
-        let fbytes = fused.approx_bytes();
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(e) = inner.map.get_mut(&key) {
-            if let Some(f) = &e.fused {
-                // Raced with another fuse: keep the incumbent.
-                e.last_touch = tick;
-                return Arc::clone(f);
-            }
-            e.fused = Some(Arc::clone(&fused));
-            e.fused_bytes = fbytes;
-            e.last_touch = tick;
-            inner.bytes += fbytes;
-            inner.fused_bytes += fbytes;
-            inner.fused_programs += 1;
-            inner.evict_to(self.budget, &self.evictions);
-        }
-        fused
     }
 
     /// Cache activity, in the unified observability shape.
@@ -1509,22 +1405,6 @@ impl DecodeCache {
             evictions: self.evictions.load(Ordering::Relaxed),
             programs: inner.map.len() as u64,
             bytes: inner.bytes as u64,
-        }
-    }
-
-    /// Fused-tier activity: block-cache traffic plus cumulative fusion
-    /// pass output, in the unified observability shape.
-    pub fn fused_stats(&self) -> ic_obs::FusedTierStats {
-        let inner = self.inner.lock();
-        ic_obs::FusedTierStats {
-            hits: self.fused_hits.load(Ordering::Relaxed),
-            misses: self.fused_misses.load(Ordering::Relaxed),
-            programs: inner.fused_programs,
-            bytes: inner.fused_bytes as u64,
-            blocks_compiled: self.blocks_compiled.load(Ordering::Relaxed),
-            superinstructions_fused: self.superinstructions_fused.load(Ordering::Relaxed),
-            micro_ops_lowered: self.micro_ops_lowered.load(Ordering::Relaxed),
-            micro_ops_fused: self.micro_ops_fused.load(Ordering::Relaxed),
         }
     }
 }

@@ -16,23 +16,18 @@
 //! * a 2-bit saturating-counter branch predictor ([`branch`]);
 //! * a small fully-associative data TLB ([`tlb`]).
 //!
-//! There are three execution tiers with identical observable behaviour:
+//! There are two execution tiers with identical observable behaviour:
 //!
-//! * [`jit`] — the production path: micro-op programs are partitioned
-//!   into basic blocks ([`block`]), adjacent ops are fused into
-//!   superinstructions ([`fuse`]), and [`FusedSim`] executes whole
-//!   blocks per dispatch with the timing model folded into per-block
-//!   constants. A shared [`DecodeCache`] memoizes both the lowering and
-//!   the block compilation across evaluations.
-//! * [`decode`] — a module lowered once into a flat [`DecodedProgram`]
-//!   of fixed-size micro-ops (operands pre-resolved, targets as dense op
-//!   offsets, latencies baked in), executed per-op by [`DecodedSim`].
-//!   Force it everywhere with `IC_SIM_DECODED=1`.
+//! * [`decode`] — the production path: a module lowered once into a
+//!   flat [`DecodedProgram`] of fixed-size micro-ops (operands
+//!   pre-resolved, targets as dense op offsets, latencies baked in),
+//!   executed per-op by [`DecodedSim`]. A shared [`DecodeCache`]
+//!   memoizes the lowering across evaluations.
 //! * [`interp`] — the legacy tree-walking interpreter, kept as the
 //!   differential-testing oracle ([`simulate_legacy`], or force it
 //!   everywhere at runtime with `IC_SIM_LEGACY=1`).
 //!
-//! All tiers are *resumable*: `step` runs a bounded number of
+//! Both tiers are *resumable*: `step` runs a bounded number of
 //! instructions and can be interleaved with other cores (the multicore
 //! model in [`multicore`] shares one L2 between per-core simulators) or
 //! sampled in windows (the dynamic-optimization runtime monitor in
@@ -43,15 +38,12 @@
 //! probe programs, rather than reading the config — the knowledge-base
 //! entries for architectures are produced this way.
 
-pub(crate) mod block;
 pub mod branch;
 pub mod cache;
 pub mod config;
 pub mod counters;
 pub mod decode;
-pub(crate) mod fuse;
 pub mod interp;
-pub mod jit;
 pub mod mem;
 pub mod microbench;
 pub mod multicore;
@@ -61,11 +53,10 @@ pub use config::MachineConfig;
 pub use counters::{Counter, PerfCounters};
 pub use decode::{DecodeCache, DecodeCacheConfig, DecodedProgram, DecodedSim};
 pub use interp::{RunResult, Sim, SimError};
-pub use jit::{FuseSummary, FusedProgram, FusedSim};
 pub use mem::Memory;
-// The decode-cache stats types live in ic-obs so every stats surface
+// The decode-cache stats type lives in ic-obs so every stats surface
 // shares one shape; re-exported here for simulator-side convenience.
-pub use ic_obs::{DecodeCacheStats, FusedTierStats};
+pub use ic_obs::DecodeCacheStats;
 
 use std::sync::Arc;
 
@@ -76,22 +67,13 @@ pub fn legacy_forced() -> bool {
     *FORCED.get_or_init(|| std::env::var_os("IC_SIM_LEGACY").is_some_and(|v| v == "1"))
 }
 
-/// True when `IC_SIM_DECODED=1` forces the per-op threaded-code tier
-/// (disabling block compilation — the middle rung of the differential
-/// ladder). Checked once.
-pub fn decoded_forced() -> bool {
-    static FORCED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FORCED.get_or_init(|| std::env::var_os("IC_SIM_DECODED").is_some_and(|v| v == "1"))
-}
-
 /// Execute `module` to completion on a machine described by `config`,
 /// with `mem` as the initial array contents and an instruction budget of
 /// `fuel`.
 ///
-/// Runs on the fused block-compiled tier (decoding and compiling the
-/// module fresh; callers with repeated evaluations should hold a
-/// [`DecodeCache`] and drive [`FusedSim`] directly). Bit-identical to
-/// [`simulate_legacy`].
+/// Runs on the decoded tier (decoding the module fresh; callers with
+/// repeated evaluations should hold a [`DecodeCache`] and call
+/// [`simulate_decoded`] directly). Bit-identical to [`simulate_legacy`].
 pub fn simulate(
     module: &ic_ir::Module,
     config: &MachineConfig,
@@ -102,14 +84,10 @@ pub fn simulate(
         return simulate_legacy(module, config, mem, fuel);
     }
     let prog = Arc::new(DecodedProgram::decode(module, config));
-    if decoded_forced() {
-        return simulate_decoded(&prog, config, mem, fuel);
-    }
-    let fused = Arc::new(FusedProgram::compile(&prog));
-    simulate_fused(&fused, config, mem, fuel)
+    simulate_decoded(&prog, config, mem, fuel)
 }
 
-/// Execute an already-decoded program to completion on the per-op tier.
+/// Execute an already-decoded program to completion on the decoded tier.
 pub fn simulate_decoded(
     prog: &Arc<DecodedProgram>,
     config: &MachineConfig,
@@ -118,21 +96,6 @@ pub fn simulate_decoded(
 ) -> Result<RunResult, SimError> {
     let mut l2 = cache::Cache::new(&config.l2);
     let mut sim = DecodedSim::new(Arc::clone(prog), config, mem);
-    match sim.step(fuel, &mut l2)? {
-        interp::StepOutcome::Finished(ret) => Ok(sim.into_result(ret)),
-        interp::StepOutcome::Running => Err(SimError::OutOfFuel),
-    }
-}
-
-/// Execute a block-compiled program to completion on the fused tier.
-pub fn simulate_fused(
-    prog: &Arc<FusedProgram>,
-    config: &MachineConfig,
-    mem: Memory,
-    fuel: u64,
-) -> Result<RunResult, SimError> {
-    let mut l2 = cache::Cache::new(&config.l2);
-    let mut sim = FusedSim::new(Arc::clone(prog), config, mem);
     match sim.step(fuel, &mut l2)? {
         interp::StepOutcome::Finished(ret) => Ok(sim.into_result(ret)),
         interp::StepOutcome::Running => Err(SimError::OutOfFuel),

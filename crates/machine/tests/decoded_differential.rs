@@ -1,6 +1,6 @@
 //! Differential testing of the execution tiers: the pre-decoded
-//! threaded-code simulator *and* the fused block-compiled tier must be
-//! **bit-identical** to the legacy tree-walking interpreter — same
+//! threaded-code simulator must be **bit-identical** to the legacy
+//! tree-walking interpreter — same
 //! performance counters, same cycle count, same return word, same final
 //! memory — on every module, under every step quantum, including the
 //! error paths (division by zero, out-of-fuel mid-run).
@@ -13,10 +13,7 @@ use ic_ir::builder::FunctionBuilder;
 use ic_ir::{BinOp, ElemClass, Inst, Module, Operand, Reg, Ty, UnOp};
 use ic_machine::cache::Cache;
 use ic_machine::interp::{Sim, StepOutcome};
-use ic_machine::{
-    DecodedProgram, DecodedSim, FusedProgram, FusedSim, MachineConfig, Memory, PerfCounters,
-    SimError,
-};
+use ic_machine::{DecodedProgram, DecodedSim, MachineConfig, Memory, PerfCounters, SimError};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -60,33 +57,6 @@ fn run_decoded(m: &Module, cfg: &MachineConfig, fuel: u64, quantum: u64) -> Obse
     let prog = Arc::new(DecodedProgram::decode(m, cfg));
     let mut l2 = Cache::new(&cfg.l2);
     let mut sim = DecodedSim::new(prog, cfg, Memory::for_module(m));
-    let mut left = fuel;
-    let outcome = loop {
-        let n = quantum.min(left);
-        match sim.step(n, &mut l2) {
-            Ok(StepOutcome::Finished(v)) => break Ok(v),
-            Ok(StepOutcome::Running) => {
-                left -= n;
-                if left == 0 {
-                    break Err(SimError::OutOfFuel);
-                }
-            }
-            Err(e) => break Err(e),
-        }
-    };
-    Observed {
-        outcome,
-        counters: sim.counters().clone(),
-        cycle: sim.cycle(),
-        mem_checksum: sim.mem().checksum(),
-    }
-}
-
-fn run_fused(m: &Module, cfg: &MachineConfig, fuel: u64, quantum: u64) -> Observed {
-    let prog = Arc::new(DecodedProgram::decode(m, cfg));
-    let fused = Arc::new(FusedProgram::compile(&prog));
-    let mut l2 = Cache::new(&cfg.l2);
-    let mut sim = FusedSim::new(fused, cfg, Memory::for_module(m));
     let mut left = fuel;
     let outcome = loop {
         let n = quantum.min(left);
@@ -299,18 +269,15 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
 
     /// The headline contract: for random modules, machines, budgets and
-    /// step quanta, the decoded engine and the fused block tier observe
-    /// exactly what the legacy interpreter observes — even when any run
-    /// ends in an error. Fused quanta are drawn independently so slice
-    /// boundaries land mid-block, exercising the per-op catch-up path.
+    /// step quanta, the decoded engine observes exactly what the legacy
+    /// interpreter observes — even when either run ends in an error.
     #[test]
-    fn decoded_and_fused_are_bit_identical_to_legacy(
+    fn decoded_is_bit_identical_to_legacy(
         seed in 0u64..100_000,
         cfg_pick in 0u8..3,
         fuel in prop::sample::select(vec![300u64, 7_000, 2_000_000]),
         legacy_q in prop::sample::select(vec![1u64, 13, 977, u64::MAX]),
         decoded_q in prop::sample::select(vec![1u64, 17, 100, u64::MAX]),
-        fused_q in prop::sample::select(vec![1u64, 2, 19, 128, u64::MAX]),
     ) {
         let m = gen_module(seed);
         ic_ir::verify::verify_module(&m).expect("generator emits valid IR");
@@ -318,8 +285,6 @@ proptest! {
         let legacy = run_legacy(&m, &cfg, fuel, legacy_q.min(fuel));
         let decoded = run_decoded(&m, &cfg, fuel, decoded_q.min(fuel));
         prop_assert_eq!(&legacy, &decoded, "seed {} diverged (decoded)", seed);
-        let fused = run_fused(&m, &cfg, fuel, fused_q.min(fuel));
-        prop_assert_eq!(&legacy, &fused, "seed {} diverged (fused)", seed);
     }
 }
 
@@ -337,9 +302,7 @@ fn div_by_zero_is_identical_and_names_the_function() {
     let cfg = MachineConfig::test_tiny();
     let legacy = run_legacy(&m, &cfg, 1000, u64::MAX);
     let decoded = run_decoded(&m, &cfg, 1000, u64::MAX);
-    let fused = run_fused(&m, &cfg, 1000, u64::MAX);
     assert_eq!(legacy, decoded);
-    assert_eq!(legacy, fused);
     match &decoded.outcome {
         Err(SimError::DivByZero { func }) => assert_eq!(func.as_str(), "main"),
         other => panic!("expected DivByZero, got {other:?}"),
@@ -353,7 +316,7 @@ fn div_by_zero_is_identical_and_names_the_function() {
 
 use ic_workloads::gen::{generate, Family, GenSpec, SizeClass};
 
-/// Run one generated spec through all three tiers on every machine
+/// Run one generated spec through both engines on every machine
 /// config and assert bit-identity plus the generator's mirrored return
 /// value.
 fn check_generated(spec: &GenSpec) {
@@ -365,8 +328,6 @@ fn check_generated(spec: &GenSpec) {
         let legacy = run_legacy(&m, &cfg, g.fuel, u64::MAX);
         let decoded = run_decoded(&m, &cfg, g.fuel, 977.min(g.fuel));
         assert_eq!(legacy, decoded, "{spec:?} diverged on config {pick}");
-        let fused = run_fused(&m, &cfg, g.fuel, 1009.min(g.fuel));
-        assert_eq!(legacy, fused, "{spec:?} fused diverged on config {pick}");
         assert_eq!(
             decoded.outcome,
             Ok(Some(g.expected as u64)),
@@ -485,96 +446,4 @@ fn decoded_step_slicing_matches_one_shot() {
             "quantum {quantum}"
         );
     }
-}
-
-/// The fused tier too: tiny quanta force every slice boundary to land
-/// mid-block, so block entry runs through the per-op catch-up path and
-/// must still be bit-identical to a one-shot block-wise run.
-#[test]
-fn fused_step_slicing_matches_one_shot() {
-    let m = gen_module(424_242);
-    let cfg = MachineConfig::test_tiny();
-    let one_shot = run_fused(&m, &cfg, 2_000_000, u64::MAX);
-    assert_eq!(one_shot, run_decoded(&m, &cfg, 2_000_000, u64::MAX));
-    for quantum in [1u64, 2, 3, 17, 100, 1000] {
-        assert_eq!(
-            one_shot,
-            run_fused(&m, &cfg, 2_000_000, quantum),
-            "quantum {quantum}"
-        );
-    }
-}
-
-/// Eviction torture for the block tier: a byte budget sized for roughly
-/// one program forces `get_or_fuse` to evict and re-compile on every
-/// module switch. Results must stay bit-identical to a roomy cache, and
-/// the fused stats must show the recompilations actually happened.
-#[test]
-fn fused_cache_eviction_preserves_results() {
-    use ic_machine::{simulate_fused, DecodeCache, DecodeCacheConfig};
-
-    let cfg = MachineConfig::test_tiny();
-    let programs: Vec<(GenSpec, Module, i64, u64)> = Family::ALL
-        .into_iter()
-        .map(|family| {
-            let spec = GenSpec {
-                family,
-                seed: 7,
-                size: SizeClass::Tiny,
-            };
-            let g = generate(&spec);
-            let m = ic_lang::compile(&spec.name(), &g.source).unwrap();
-            (spec, m, g.expected, g.fuel)
-        })
-        .collect();
-
-    let one = Arc::new(DecodedProgram::decode(&programs[0].1, &cfg));
-    let one_fused = FusedProgram::compile(&one);
-    let tiny_cache = DecodeCache::new(DecodeCacheConfig {
-        byte_budget: one.approx_bytes() + one_fused.approx_bytes() * 2,
-    });
-    let roomy_cache = DecodeCache::new(DecodeCacheConfig::default());
-
-    let run = |cache: &DecodeCache, m: &Module, fuel: u64| {
-        let prog = cache.get_or_fuse(m, &cfg);
-        simulate_fused(&prog, &cfg, Memory::for_module(m), fuel)
-    };
-    for round in 0..2 {
-        for (spec, m, expected, fuel) in &programs {
-            let thrashed = run(&tiny_cache, m, *fuel).unwrap_or_else(|e| panic!("{spec:?}: {e}"));
-            let roomy = run(&roomy_cache, m, *fuel).unwrap();
-            assert_eq!(
-                thrashed.ret_i64(),
-                Some(*expected),
-                "{spec:?} round {round}: eviction changed the result"
-            );
-            assert_eq!(thrashed.cycles(), roomy.cycles(), "{spec:?}");
-            assert_eq!(thrashed.mem.checksum(), roomy.mem.checksum(), "{spec:?}");
-        }
-    }
-
-    let thrashed_stats = tiny_cache.stats();
-    assert!(
-        thrashed_stats.evictions > 0,
-        "tiny budget must evict: {thrashed_stats:?}"
-    );
-    let thrashed_fused = tiny_cache.fused_stats();
-    assert!(
-        thrashed_fused.misses > programs.len() as u64,
-        "evicted programs must re-compile: {thrashed_fused:?}"
-    );
-    let roomy_fused = roomy_cache.fused_stats();
-    assert!(
-        roomy_fused.hits >= programs.len() as u64,
-        "second round must hit the fused cache: {roomy_fused:?}"
-    );
-    assert_eq!(
-        roomy_fused.misses,
-        programs.len() as u64,
-        "roomy cache compiles each program once: {roomy_fused:?}"
-    );
-    assert!(
-        roomy_fused.superinstructions_fused > 0 && roomy_fused.blocks_compiled > 0,
-        "fusion pass must report work: {roomy_fused:?}"
-    );
 }

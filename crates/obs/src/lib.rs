@@ -34,9 +34,9 @@ pub use error::Error;
 pub use metrics::{Counter, Gauge, Histogram, Registry, Span, SpanTimer};
 pub use profile::PassProfiler;
 pub use snapshot::{
-    CompileCacheStats, CorpusStats, DecodeCacheStats, EvalCacheStats, FusedTierStats,
-    HistogramStats, PassStats, PredictStats, RequestStats, ServiceStats, ShardStats, SimStats,
-    Snapshot, SpanStats, SNAPSHOT_SCHEMA_VERSION,
+    CompileCacheStats, CorpusStats, DecodeCacheStats, EvalCacheStats, HistogramStats, PassStats,
+    PredictStats, RequestStats, ServiceStats, ShardStats, SimStats, Snapshot, SpanStats,
+    SNAPSHOT_SCHEMA_VERSION,
 };
 
 /// Workspace-standard result type over [`Error`].

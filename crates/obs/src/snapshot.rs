@@ -198,89 +198,14 @@ impl DecodeCacheStats {
     }
 }
 
-/// A point-in-time view of the fused block-compiled tier: cache reuse of
-/// compiled programs plus cumulative fusion-pass output.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct FusedTierStats {
-    /// Lookups that reused an already block-compiled program.
-    #[serde(default)]
-    pub hits: u64,
-    /// Lookups that had to run the fusion pass.
-    #[serde(default)]
-    pub misses: u64,
-    /// Block-compiled programs currently resident.
-    #[serde(default)]
-    pub programs: u64,
-    /// Estimated bytes of resident compiled blocks (on top of the
-    /// decoded programs they embed).
-    #[serde(default)]
-    pub bytes: u64,
-    /// Basic blocks compiled (cumulative over all fusion runs).
-    #[serde(default)]
-    pub blocks_compiled: u64,
-    /// Multi-op superinstructions emitted (cumulative).
-    #[serde(default)]
-    pub superinstructions_fused: u64,
-    /// Micro-ops lowered into blocks (cumulative).
-    #[serde(default)]
-    pub micro_ops_lowered: u64,
-    /// Micro-ops covered by multi-op superinstructions (cumulative).
-    #[serde(default)]
-    pub micro_ops_fused: u64,
-}
-
-impl FusedTierStats {
-    /// Total lookups.
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Fraction of lookups that reused a compiled program.
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups() == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups() as f64
-        }
-    }
-
-    /// Fraction of lowered micro-ops covered by fused superinstructions.
-    pub fn fusion_ratio(&self) -> f64 {
-        if self.micro_ops_lowered == 0 {
-            0.0
-        } else {
-            self.micro_ops_fused as f64 / self.micro_ops_lowered as f64
-        }
-    }
-
-    /// Fold `other`'s counts in (see the module docs for the rules).
-    pub fn merge(&mut self, other: &FusedTierStats) {
-        self.hits = self.hits.saturating_add(other.hits);
-        self.misses = self.misses.saturating_add(other.misses);
-        self.programs = self.programs.saturating_add(other.programs);
-        self.bytes = self.bytes.saturating_add(other.bytes);
-        self.blocks_compiled = self.blocks_compiled.saturating_add(other.blocks_compiled);
-        self.superinstructions_fused = self
-            .superinstructions_fused
-            .saturating_add(other.superinstructions_fused);
-        self.micro_ops_lowered = self
-            .micro_ops_lowered
-            .saturating_add(other.micro_ops_lowered);
-        self.micro_ops_fused = self.micro_ops_fused.saturating_add(other.micro_ops_fused);
-    }
-}
-
-/// Simulation activity of the simulator tiers: how much simulator time
-/// was spent, how many instructions were retired, and how well the
-/// decode cache amortized the lowering and block compilation.
+/// Simulation activity: how much simulator time was spent, how many
+/// instructions were retired, and how well the decode cache amortized
+/// the lowering.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimStats {
     /// Decoded-program memo activity.
     #[serde(default)]
     pub decode: DecodeCacheStats,
-    /// Fused block-compiled tier activity.
-    #[serde(default)]
-    pub fused: FusedTierStats,
     /// Total nanoseconds inside the simulator, summed over all threads.
     #[serde(default)]
     pub sim_nanos: u64,
@@ -303,7 +228,6 @@ impl SimStats {
     /// Fold `other`'s counts in (see the module docs for the rules).
     pub fn merge(&mut self, other: &SimStats) {
         self.decode.merge(&other.decode);
-        self.fused.merge(&other.fused);
         self.sim_nanos = self.sim_nanos.saturating_add(other.sim_nanos);
         self.insts_simulated = self.insts_simulated.saturating_add(other.insts_simulated);
     }
@@ -934,27 +858,14 @@ mod tests {
                 bytes: 1024,
                 evictions: 0,
             },
-            fused: FusedTierStats {
-                hits: 9,
-                misses: 1,
-                programs: 1,
-                bytes: 512,
-                blocks_compiled: 8,
-                superinstructions_fused: 6,
-                micro_ops_lowered: 40,
-                micro_ops_fused: 30,
-            },
             sim_nanos: 500_000_000,
             insts_simulated: 1_000_000,
         };
         assert!((a.decode.hit_rate() - 0.9).abs() < 1e-12);
-        assert!((a.fused.fusion_ratio() - 0.75).abs() < 1e-12);
         assert!((a.insts_per_second() - 2_000_000.0).abs() < 1.0);
         let b = a;
         a.merge(&b);
         assert_eq!(a.decode.lookups(), 20);
-        assert_eq!(a.fused.lookups(), 20);
-        assert_eq!(a.fused.blocks_compiled, 16);
         assert_eq!(a.insts_simulated, 2_000_000);
         // Rates survive the round trip through the additive schema.
         let snap = Snapshot {

@@ -277,18 +277,6 @@ impl Client {
         Ok(Client::over(Box::new(FramedTransport::new(stream)?)))
     }
 
-    /// Connect over the daemon's Unix socket.
-    #[deprecated(note = "use `Client::connect(\"unix://<path>\")` (a bare path also works)")]
-    pub fn connect_unix(path: impl AsRef<Path>) -> Result<Client, ClientError> {
-        Self::unix(path)
-    }
-
-    /// Connect over TCP (`host:port`).
-    #[deprecated(note = "use `Client::connect(\"tcp://<host:port>\")`")]
-    pub fn connect_tcp(addr: impl std::net::ToSocketAddrs) -> Result<Client, ClientError> {
-        Self::tcp(addr)
-    }
-
     /// Install a uniform per-request timeout: injected as
     /// `ctx.deadline_ms` into data-plane requests that carry none, and
     /// enforced on the socket (with slack for queueing) so a dead
@@ -450,15 +438,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_still_compile_and_connect_the_old_way() {
-        // The PR-3 surface stays source-compatible: same names, same
-        // signatures, same error behavior — just deprecated.
-        match Client::connect_unix("/nonexistent/ic-serve.sock") {
-            Err(ClientError::Connect(_)) => {}
-            other => panic!("expected Connect error, got {:?}", other.err()),
-        }
-        match Client::connect_tcp("127.0.0.1:1") {
+    fn tcp_uri_routes_to_tcp() {
+        // Nothing listens on :1, so the scheme must reach the TCP
+        // transport and fail there, not at URI parsing.
+        match Client::connect("tcp://127.0.0.1:1") {
             Err(ClientError::Connect(_)) => {}
             Ok(_) => {} // something actually listening on :1 — fine
             other => panic!("expected Connect error, got {:?}", other.err()),

@@ -488,12 +488,6 @@ impl EnginePool {
         }
     }
 
-    /// A pool with default engine config.
-    #[deprecated(note = "use EnginePool::with_config(EngineConfig::builder()...build()?)")]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Fetch the engine for `ctx`, building (and warming from `kb`'s
     /// persisted snapshot) on first sight.
     pub fn get_or_create(

@@ -411,18 +411,6 @@ fn print_snapshot_human(s: &Snapshot) {
         s.sim.decode.bytes,
     );
     println!(
-        "fused tier: {} hits / {} misses ({:.1}% hit rate), {} blocks / {} superinstructions ({:.1}% of {} micro-ops fused), {} programs / {} bytes resident",
-        s.sim.fused.hits,
-        s.sim.fused.misses,
-        s.sim.fused.hit_rate() * 100.0,
-        s.sim.fused.blocks_compiled,
-        s.sim.fused.superinstructions_fused,
-        s.sim.fused.fusion_ratio() * 100.0,
-        s.sim.fused.micro_ops_lowered,
-        s.sim.fused.programs,
-        s.sim.fused.bytes,
-    );
-    println!(
         "simulator: {} insts in {:.1} ms ({:.2}M simulated insts/s)",
         s.sim.insts_simulated,
         s.sim.sim_nanos as f64 / 1e6,
@@ -825,9 +813,10 @@ fn print_local_stats(
 ) {
     if json {
         // Hand-rolled object: the schema here is the documented one.
-        // Keys are only ever added, never renamed (harnesses parse it).
+        // Keys are never renamed (harnesses parse it); they go only when
+        // the layer they describe is deleted.
         println!(
-            "{{\"eval_lookups\":{},\"eval_hits\":{},\"eval_misses\":{},\"eval_hit_rate\":{:.4},\"evals_per_second\":{:.1},\"compile_hits\":{},\"compile_misses\":{},\"compile_hit_rate\":{:.4},\"passes_run\":{},\"passes_elided\":{},\"elision_factor\":{:.3},\"decode_hits\":{},\"decode_misses\":{},\"decode_hit_rate\":{:.4},\"fused_hits\":{},\"fused_misses\":{},\"fused_hit_rate\":{:.4},\"blocks_compiled\":{},\"superinstructions_fused\":{},\"fusion_ratio\":{:.4},\"sim_nanos\":{},\"insts_simulated\":{},\"sim_insts_per_second\":{:.0}}}",
+            "{{\"eval_lookups\":{},\"eval_hits\":{},\"eval_misses\":{},\"eval_hit_rate\":{:.4},\"evals_per_second\":{:.1},\"compile_hits\":{},\"compile_misses\":{},\"compile_hit_rate\":{:.4},\"passes_run\":{},\"passes_elided\":{},\"elision_factor\":{:.3},\"decode_hits\":{},\"decode_misses\":{},\"decode_hit_rate\":{:.4},\"sim_nanos\":{},\"insts_simulated\":{},\"sim_insts_per_second\":{:.0}}}",
             stats.lookups(),
             stats.hits,
             stats.misses,
@@ -842,12 +831,6 @@ fn print_local_stats(
             sim.decode.hits,
             sim.decode.misses,
             sim.decode.hit_rate(),
-            sim.fused.hits,
-            sim.fused.misses,
-            sim.fused.hit_rate(),
-            sim.fused.blocks_compiled,
-            sim.fused.superinstructions_fused,
-            sim.fused.fusion_ratio(),
             sim.sim_nanos,
             sim.insts_simulated,
             sim.insts_per_second()
@@ -877,15 +860,6 @@ fn print_local_stats(
             sim.decode.hit_rate() * 100.0,
             sim.decode.programs,
             sim.decode.bytes
-        );
-        eprintln!(
-            "icc: fused tier    : {} hits / {} misses ({:.1}% hit rate), {} blocks / {} superinstructions ({:.1}% of micro-ops fused)",
-            sim.fused.hits,
-            sim.fused.misses,
-            sim.fused.hit_rate() * 100.0,
-            sim.fused.blocks_compiled,
-            sim.fused.superinstructions_fused,
-            sim.fused.fusion_ratio() * 100.0
         );
         eprintln!(
             "icc: simulator     : {} insts in {:.1} ms ({:.2}M simulated insts/s)",

@@ -1,10 +1,9 @@
 //! Generator-driven differential fuzzing across the whole stack: one
-//! seeded program source (`ic_workloads::gen`), four oracles —
+//! seeded program source (`ic_workloads::gen`), three oracles —
 //!
 //! 1. the legacy tree-walking interpreter,
 //! 2. the pre-decoded threaded-code simulator,
-//! 3. the block-compiled fused-superinstruction simulator,
-//! 4. the prefix-cached compile pipeline (shared `PrefixCache` +
+//! 3. the prefix-cached compile pipeline (shared `PrefixCache` +
 //!    `DecodeCache`, the path search engines actually take),
 //!
 //! all of which must agree bit-for-bit with each other AND with the
@@ -16,8 +15,7 @@
 //! nightly N seeds × M sequences sweep behind `--ignored`.
 
 use intelligent_compilers::machine::{
-    simulate_decoded, simulate_fused, simulate_legacy, DecodeCache, DecodeCacheConfig,
-    MachineConfig, Memory,
+    simulate_decoded, simulate_legacy, DecodeCache, DecodeCacheConfig, MachineConfig, Memory,
 };
 use intelligent_compilers::passes::{apply_sequence, Opt, PrefixCache};
 use intelligent_compilers::workloads::gen::{generate, Family, GenSpec, SizeClass};
@@ -32,13 +30,13 @@ struct Verdict {
 }
 
 /// Run one generated spec under one optimization sequence through all
-/// four oracles; panic with the reproducing triple on any divergence.
-fn run_four_oracles(spec: &GenSpec, seq: &[Opt], decode_cache: &DecodeCache) {
+/// three oracles; panic with the reproducing triple on any divergence.
+fn run_three_oracles(spec: &GenSpec, seq: &[Opt], decode_cache: &DecodeCache) {
     let g = generate(spec);
     let m0 = intelligent_compilers::lang::compile(&spec.name(), &g.source)
         .unwrap_or_else(|e| panic!("REPRO ({:?}, {}, {seq:?}): {e}", spec.family, spec.seed));
 
-    // Oracle 4's compile path: the prefix cache applies `seq` to the
+    // Oracle 3's compile path: the prefix cache applies `seq` to the
     // base module (primed so the trie is genuinely exercised).
     let prefix_cache = PrefixCache::new(m0.clone());
     if seq.len() > 1 {
@@ -56,9 +54,6 @@ fn run_four_oracles(spec: &GenSpec, seq: &[Opt], decode_cache: &DecodeCache) {
     let decoded_prog = decode_cache.get_or_decode(&m_plain, &cfg);
     let decoded = simulate_decoded(&decoded_prog, &cfg, Memory::for_module(&m_plain), g.fuel)
         .unwrap_or_else(|e| repro(spec, seq, &format!("decoded simulator failed: {e}")));
-    let fused_prog = decode_cache.get_or_fuse(&m_plain, &cfg);
-    let fused = simulate_fused(&fused_prog, &cfg, Memory::for_module(&m_plain), g.fuel)
-        .unwrap_or_else(|e| repro(spec, seq, &format!("fused simulator failed: {e}")));
     let cached_prog = decode_cache.get_or_decode(&m_cached, &cfg);
     let cached = simulate_decoded(&cached_prog, &cfg, Memory::for_module(&m_cached), g.fuel)
         .unwrap_or_else(|e| repro(spec, seq, &format!("prefix-cached pipeline failed: {e}")));
@@ -68,12 +63,9 @@ fn run_four_oracles(spec: &GenSpec, seq: &[Opt], decode_cache: &DecodeCache) {
         cycles: r.cycles(),
         mem_checksum: r.mem.checksum(),
     };
-    let (vl, vd, vf, vc) = (v(&legacy), v(&decoded), v(&fused), v(&cached));
+    let (vl, vd, vc) = (v(&legacy), v(&decoded), v(&cached));
     if vl != vd {
         repro(spec, seq, &format!("legacy vs decoded: {vl:?} vs {vd:?}"));
-    }
-    if vd != vf {
-        repro(spec, seq, &format!("decoded vs fused: {vd:?} vs {vf:?}"));
     }
     if vd != vc {
         repro(
@@ -110,15 +102,15 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 32, .. ProptestConfig::default() })]
 
     /// The tier-1 gate: random (family, seed, sequence) triples through
-    /// all four oracles.
+    /// all three oracles.
     #[test]
-    fn four_oracles_agree_on_random_programs_and_sequences(
+    fn three_oracles_agree_on_random_programs_and_sequences(
         family in prop::sample::select(Family::ALL.to_vec()),
         seed in 0u64..1_000_000,
         seq in prop::collection::vec(prop::sample::select(Opt::ALL.to_vec()), 0..=6),
     ) {
         let cache = DecodeCache::new(DecodeCacheConfig::default());
-        run_four_oracles(
+        run_three_oracles(
             &GenSpec { family, seed, size: SizeClass::Tiny },
             &seq,
             &cache,
@@ -129,7 +121,7 @@ proptest! {
 /// Seed-pinned smoke subset: a handful of named cases that always run,
 /// sharing one decode cache so the cached-program path is hit too.
 #[test]
-fn four_oracles_agree_on_pinned_cases() {
+fn three_oracles_agree_on_pinned_cases() {
     let cache = DecodeCache::new(DecodeCacheConfig::default());
     let cases: &[(Family, u64, &[Opt])] = &[
         (Family::Stencil, 3, &[Opt::Unroll4, Opt::Cse]),
@@ -144,20 +136,19 @@ fn four_oracles_agree_on_pinned_cases() {
             seed: *seed,
             size: SizeClass::Tiny,
         };
-        run_four_oracles(&spec, seq, &cache);
+        run_three_oracles(&spec, seq, &cache);
         // Same spec again: second time around both caches serve hits.
-        run_four_oracles(&spec, seq, &cache);
+        run_three_oracles(&spec, seq, &cache);
     }
     assert!(cache.stats().hits > 0, "decode cache never hit");
 }
 
-/// Eviction torture for the block tier: a decode cache squeezed to a
-/// few KB must constantly evict and recompile decoded + fused programs
-/// while every oracle keeps agreeing — catches any compile-order or
-/// cache-lifetime dependence in the fused tier (e.g. stale `block_of`
-/// maps or pool offsets surviving a recompile).
+/// Eviction torture for the decode cache: squeezed to a few KB, it must
+/// constantly evict and re-decode programs while every oracle keeps
+/// agreeing — catches any decode-order or cache-lifetime dependence
+/// (e.g. a stale program served for a fingerprint after its eviction).
 #[test]
-fn fused_tier_survives_decode_cache_eviction() {
+fn decoded_tier_survives_decode_cache_eviction() {
     let tiny = DecodeCache::new(DecodeCacheConfig {
         byte_budget: 8 << 10,
     });
@@ -171,11 +162,11 @@ fn fused_tier_survives_decode_cache_eviction() {
             })
         })
         .collect();
-    // Two passes over the whole set: the second pass re-fuses programs
+    // Two passes over the whole set: the second pass re-decodes programs
     // the first pass evicted, on a cache whose budget can't hold them.
     for _ in 0..2 {
         for spec in &specs {
-            run_four_oracles(spec, &[Opt::ConstProp, Opt::Dce], &tiny);
+            run_three_oracles(spec, &[Opt::ConstProp, Opt::Dce], &tiny);
         }
     }
     let stats = tiny.stats();
@@ -212,7 +203,7 @@ fn corpus_fuzz_deep() {
                 let seq: Vec<Opt> = (0..len)
                     .map(|_| Opt::ALL[rng.gen_range(0..Opt::ALL.len())])
                     .collect();
-                run_four_oracles(&spec, &seq, &cache);
+                run_three_oracles(&spec, &seq, &cache);
                 iterations += 1;
             }
         }
