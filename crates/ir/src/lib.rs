@@ -21,13 +21,14 @@
 //!
 //! Submodules provide the standard analyses every pass needs: CFG utilities
 //! ([`mod@cfg`]), dominators ([`dom`]), natural loops ([`loops`]), liveness
-//! ([`liveness`]), a structural [`verify`]er, and a textual [`mod@print`]er
-//! + [`parse`]r pair.
+//! ([`liveness`]), a structural [`verify`]er, a textual [`mod@print`]er
+//! + [`parse`]r pair, and a whole-module structural hash ([`ModuleKey`]).
 
 pub mod builder;
 pub mod cfg;
 pub mod dom;
 pub mod intern;
+pub mod key;
 pub mod liveness;
 pub mod loops;
 pub mod parse;
@@ -35,6 +36,7 @@ pub mod print;
 pub mod rewrite;
 pub mod verify;
 
+pub use key::ModuleKey;
 use serde::{Deserialize, Serialize};
 
 /// Index of a function within its [`Module`].

@@ -276,16 +276,18 @@ impl KnowledgeBase {
         context: &str,
         entries: impl IntoIterator<Item = (u64, f64)>,
     ) -> usize {
-        let rec = match self.eval_caches.iter_mut().find(|c| c.context == context) {
-            Some(r) => r,
-            None => {
-                self.eval_caches.push(EvalCacheRecord {
+        let at = match self.eval_caches.iter().position(|c| c.context == context) {
+            Some(at) => at,
+            None => insert_sorted(
+                &mut self.eval_caches,
+                EvalCacheRecord {
                     context: context.to_string(),
                     entries: Vec::new(),
-                });
-                self.eval_caches.last_mut().unwrap()
-            }
+                },
+                |c| &c.context,
+            ),
         };
+        let rec = &mut self.eval_caches[at];
         let mut map: HashMap<u64, f64> = rec.entries.iter().copied().collect();
         for (idx, cost) in entries {
             map.insert(idx, cost);
@@ -301,7 +303,9 @@ impl KnowledgeBase {
     pub fn upsert_metrics(&mut self, rec: MetricsRecord) {
         match self.metrics.iter_mut().find(|m| m.context == rec.context) {
             Some(m) => *m = rec,
-            None => self.metrics.push(rec),
+            None => {
+                insert_sorted(&mut self.metrics, rec, |m| &m.context);
+            }
         }
     }
 
@@ -322,7 +326,9 @@ impl KnowledgeBase {
                 }
                 *m = rec;
             }
-            None => self.models.push(rec),
+            None => {
+                insert_sorted(&mut self.models, rec, |m| &m.context);
+            }
         }
         true
     }
@@ -437,6 +443,15 @@ impl KnowledgeBase {
             }
         }
     }
+}
+
+/// Insert `rec` at its place in `records` ordered by `key` and return
+/// its index, so a store's record order is a function of its contents,
+/// not of the order its writers happened to run in.
+fn insert_sorted<T>(records: &mut Vec<T>, rec: T, key: impl Fn(&T) -> &String) -> usize {
+    let at = records.partition_point(|r| key(r) < key(&rec));
+    records.insert(at, rec);
+    at
 }
 
 /// A thread-safe handle for concurrent writers (parallel search).

@@ -4,9 +4,18 @@ use crate::ast::*;
 use crate::lexer::{Token, TokenKind};
 use crate::CompileError;
 
+/// Deepest nesting the parser accepts, counting each statement, each
+/// expression and each prefix operator as one level (so a parenthesized
+/// expression costs two). Parsing and lowering recurse once per level:
+/// without a cap, a hostile input of a few hundred thousand `(`
+/// overflows the stack and aborts the process instead of reporting an
+/// error.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     toks: &'a [Token],
     pos: usize,
+    depth: usize,
 }
 
 /// Parse a token stream (as produced by [`crate::lexer::lex`]) into a
@@ -15,11 +24,29 @@ pub fn parse(tokens: &[Token]) -> Result<Program, CompileError> {
     let mut p = Parser {
         toks: tokens,
         pos: 0,
+        depth: 0,
     };
     p.program()
 }
 
 impl<'a> Parser<'a> {
+    /// Run `f` one nesting level down, failing past [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, CompileError>,
+    ) -> Result<T, CompileError> {
+        if self.depth == MAX_DEPTH {
+            return Err(CompileError::new(
+                self.line(),
+                format!("nesting deeper than {MAX_DEPTH} levels"),
+            ));
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
+
     fn peek(&self) -> &TokenKind {
         &self.toks[self.pos].kind
     }
@@ -186,6 +213,10 @@ impl<'a> Parser<'a> {
     }
 
     fn stmt(&mut self) -> Result<Stmt, CompileError> {
+        self.nested(Self::stmt_here)
+    }
+
+    fn stmt_here(&mut self) -> Result<Stmt, CompileError> {
         let line = self.line();
         let kind = match self.peek().clone() {
             TokenKind::KwInt | TokenKind::KwFloat => {
@@ -365,7 +396,7 @@ impl<'a> Parser<'a> {
     // ----- expressions, precedence climbing -----
 
     fn expr(&mut self) -> Result<Expr, CompileError> {
-        self.logic_or()
+        self.nested(Self::logic_or)
     }
 
     fn logic_or(&mut self) -> Result<Expr, CompileError> {
@@ -484,6 +515,10 @@ impl<'a> Parser<'a> {
     }
 
     fn unary(&mut self) -> Result<Expr, CompileError> {
+        self.nested(Self::unary_here)
+    }
+
+    fn unary_here(&mut self) -> Result<Expr, CompileError> {
         let line = self.line();
         match self.peek() {
             TokenKind::Minus => {
@@ -600,6 +635,27 @@ mod tests {
 
     fn parse_src(src: &str) -> Program {
         parse(&lex(src).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        let deep = |n: usize| {
+            format!(
+                "int main() {{ return {}1{}; }}",
+                "(".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        // At the cap (two levels per parenthesis) it still parses.
+        assert!(parse(&lex(&deep(MAX_DEPTH / 2 - 2)).unwrap()).is_ok());
+        for src in [
+            deep(200_000),
+            format!("int main() {{ return {}1; }}", "-".repeat(200_000)),
+            format!("int main() {}{}", "{".repeat(200_000), "}".repeat(200_000)),
+        ] {
+            let e = parse(&lex(&src).unwrap()).unwrap_err();
+            assert!(e.message.contains("nesting deeper than 128 levels"), "{e}");
+        }
     }
 
     #[test]

@@ -31,8 +31,8 @@
 //! proptests in `tests/decoded_differential.rs` pin the contract.
 //!
 //! [`DecodeCache`] memoizes decoded programs across evaluations and warm
-//! `ic-serve` engines, keyed by a structural fingerprint of the
-//! post-prefix module plus the baked timing parameters, byte-budgeted
+//! `ic-serve` engines, keyed by the post-prefix module's [`ModuleKey`]
+//! plus the baked timing parameters, byte-budgeted
 //! with LRU eviction like the pass-prefix cache.
 
 use crate::branch::BranchPredictor;
@@ -43,7 +43,7 @@ use crate::interp::{eval_bin, eval_un, RunResult, SimError, StepOutcome, MAX_CAL
 use crate::mem::Memory;
 use crate::tlb::Tlb;
 use ic_ir::intern::{intern, Symbol};
-use ic_ir::{ArrId, BinOp, Inst, Module, Operand, Terminator, UnOp};
+use ic_ir::{ArrId, BinOp, Inst, Module, ModuleKey, Operand, Terminator, UnOp};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -1114,66 +1114,13 @@ impl DecodedSim {
     }
 }
 
-/// A 128-bit structural fingerprint: two FNV-1a-style lanes with distinct
-/// offset bases, folded over the module structure and the baked timing
-/// parameters. Not cryptographic — collision odds over a cache holding at
-/// most a few thousand programs are negligible.
-struct Fingerprint {
-    a: u64,
-    b: u64,
-}
+/// The decode-cache key: the module's structural identity plus the
+/// latency words baked into its micro-ops.
+type DecodeKey = (ModuleKey, [u64; 8]);
 
-impl Fingerprint {
-    fn new() -> Self {
-        Fingerprint {
-            a: 0xcbf2_9ce4_8422_2325,
-            b: 0x9ae1_6a3b_2f90_404f,
-        }
-    }
-
-    #[inline]
-    fn word(&mut self, w: u64) {
-        const P: u64 = 0x0000_0100_0000_01b3;
-        self.a = (self.a ^ w).wrapping_mul(P);
-        self.b = (self.b ^ w.rotate_left(31)).wrapping_mul(P).rotate_left(7);
-    }
-
-    fn bytes(&mut self, s: &[u8]) {
-        self.word(s.len() as u64);
-        for chunk in s.chunks(8) {
-            let mut w = [0u8; 8];
-            w[..chunk.len()].copy_from_slice(chunk);
-            self.word(u64::from_le_bytes(w));
-        }
-    }
-
-    fn operand(&mut self, op: &Operand) {
-        match op {
-            Operand::Reg(r) => {
-                self.word(1);
-                self.word(r.0 as u64);
-            }
-            Operand::ImmI(v) => {
-                self.word(2);
-                self.word(*v as u64);
-            }
-            Operand::ImmF(v) => {
-                self.word(3);
-                self.word(v.to_bits());
-            }
-        }
-    }
-
-    fn finish(self) -> u128 {
-        ((self.a as u128) << 64) | self.b as u128
-    }
-}
-
-/// Structural identity of (module, timing table) — the decode-cache key.
-pub fn module_fingerprint(module: &Module, cfg: &MachineConfig) -> u128 {
-    let mut h = Fingerprint::new();
+fn decode_key(module: &Module, cfg: &MachineConfig) -> DecodeKey {
     let l = &cfg.lat;
-    for w in [
+    let lat = [
         l.alu,
         l.mul,
         l.div,
@@ -1182,95 +1129,8 @@ pub fn module_fingerprint(module: &Module, cfg: &MachineConfig) -> u128 {
         l.fdiv,
         l.mov,
         l.load_base,
-    ] {
-        h.word(w);
-    }
-    h.word(module.entry.0 as u64);
-    h.word(module.funcs.len() as u64);
-    for f in &module.funcs {
-        h.bytes(f.name.as_bytes());
-        h.word(f.num_regs() as u64);
-        h.word(f.params.len() as u64);
-        for p in &f.params {
-            h.word(p.0 as u64);
-        }
-        h.word(f.blocks.len() as u64);
-        for b in &f.blocks {
-            h.word(b.insts.len() as u64);
-            for inst in &b.insts {
-                match inst {
-                    Inst::Bin { op, dst, a, b } => {
-                        h.word(0x10 | (*op as u64) << 8);
-                        h.word(dst.0 as u64);
-                        h.operand(a);
-                        h.operand(b);
-                    }
-                    Inst::Un { op, dst, a } => {
-                        h.word(0x11 | (*op as u64) << 8);
-                        h.word(dst.0 as u64);
-                        h.operand(a);
-                    }
-                    Inst::Mov { dst, src } => {
-                        h.word(0x12);
-                        h.word(dst.0 as u64);
-                        h.operand(src);
-                    }
-                    Inst::Load { dst, arr, idx } => {
-                        h.word(0x13);
-                        h.word(dst.0 as u64);
-                        h.word(arr.0 as u64);
-                        h.operand(idx);
-                    }
-                    Inst::Store { arr, idx, val } => {
-                        h.word(0x14);
-                        h.word(arr.0 as u64);
-                        h.operand(idx);
-                        h.operand(val);
-                    }
-                    Inst::Call { dst, callee, args } => {
-                        h.word(0x15);
-                        h.word(dst.map_or(u64::MAX, |d| d.0 as u64));
-                        h.word(callee.0 as u64);
-                        h.word(args.len() as u64);
-                        for a in args {
-                            h.operand(a);
-                        }
-                    }
-                    Inst::Select { dst, cond, t, f } => {
-                        h.word(0x16);
-                        h.word(dst.0 as u64);
-                        h.operand(cond);
-                        h.operand(t);
-                        h.operand(f);
-                    }
-                }
-            }
-            match &b.term {
-                Terminator::Jump(t) => {
-                    h.word(0x20);
-                    h.word(t.0 as u64);
-                }
-                Terminator::Branch {
-                    cond,
-                    then_bb,
-                    else_bb,
-                } => {
-                    h.word(0x21);
-                    h.operand(cond);
-                    h.word(then_bb.0 as u64);
-                    h.word(else_bb.0 as u64);
-                }
-                Terminator::Ret(v) => {
-                    h.word(0x22);
-                    match v {
-                        Some(op) => h.operand(op),
-                        None => h.word(u64::MAX),
-                    }
-                }
-            }
-        }
-    }
-    h.finish()
+    ];
+    (ModuleKey::of(module), lat)
 }
 
 /// Configuration for the [`DecodeCache`].
@@ -1298,7 +1158,7 @@ struct CacheEntry {
 }
 
 struct DecodeCacheInner {
-    map: HashMap<u128, CacheEntry>,
+    map: HashMap<DecodeKey, CacheEntry>,
     /// Total retained decoded-program bytes.
     bytes: usize,
     tick: u64,
@@ -1358,7 +1218,7 @@ impl DecodeCache {
     /// Return the decoded program for `(module, cfg)`, decoding and
     /// inserting on miss. The lock is never held across a decode.
     pub fn get_or_decode(&self, module: &Module, cfg: &MachineConfig) -> Arc<DecodedProgram> {
-        let key = module_fingerprint(module, cfg);
+        let key = decode_key(module, cfg);
         {
             let mut inner = self.inner.lock();
             inner.tick += 1;
@@ -1427,9 +1287,7 @@ mod tests {
     #[test]
     fn fingerprint_is_structural() {
         let cfg = MachineConfig::test_tiny();
-        let m1 = module();
-        let m2 = module();
-        assert_eq!(module_fingerprint(&m1, &cfg), module_fingerprint(&m2, &cfg));
+        assert_eq!(decode_key(&module(), &cfg), decode_key(&module(), &cfg));
         let mut m3 = module();
         m3.funcs[0].blocks[0].insts[0] = Inst::Bin {
             op: BinOp::Add,
@@ -1437,14 +1295,11 @@ mod tests {
             a: Operand::ImmI(6),
             b: Operand::ImmI(7),
         };
-        assert_ne!(module_fingerprint(&m1, &cfg), module_fingerprint(&m3, &cfg));
+        assert_ne!(decode_key(&module(), &cfg), decode_key(&m3, &cfg));
         // Different latency tables decode differently, so they must key
         // differently too.
         let other = MachineConfig::vliw_c6713_like();
-        assert_ne!(
-            module_fingerprint(&m1, &cfg),
-            module_fingerprint(&m1, &other)
-        );
+        assert_ne!(decode_key(&module(), &cfg), decode_key(&module(), &other));
     }
 
     #[test]

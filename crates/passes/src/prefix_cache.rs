@@ -22,22 +22,31 @@
 //! functions of the module, so a cached post-prefix module is
 //! indistinguishable from a freshly computed one.
 //!
+//! Nodes are **hash-consed**: many prefixes produce the same module (a
+//! pass that reports no change, or two orders that meet), so each
+//! distinct module is stored once and shared by every node that holds
+//! it. A pass that reports no change shares its parent's `Arc`; a
+//! changed module is looked up by its [`ModuleKey`], confirmed with `==`,
+//! and otherwise stored.
+//!
 //! Memory is bounded by an LRU over trie nodes with a configurable byte
-//! budget ([`PrefixCacheConfig::byte_budget`]); module sizes are estimated
-//! (see [`approx_module_bytes`]), and eviction drops the
-//! least-recently-touched node first. Only *proper* prefixes are cached —
+//! budget ([`PrefixCacheConfig::byte_budget`]). The budget counts each
+//! resident distinct module once (sizes are estimated, see
+//! [`approx_module_bytes`]); eviction drops the least-recently-touched
+//! node first, and a module's bytes are freed with the last node that
+//! holds it. Only *proper* prefixes are cached —
 //! the full-length module is returned to the caller, not stored, because
 //! identical whole sequences are already deduped one level up by the
 //! evaluation cache.
 //!
 //! Concurrency: one `parking_lot` mutex guards the trie; it is held for
-//! map walks and insertions only, never across a pass application or a
-//! module clone. Concurrent misses on the same prefix may both compute
-//! it (the results are identical; first insert wins), exactly like the
-//! evaluation cache's miss path.
+//! map walks and insertions only, never across a pass application, a
+//! module clone or a module comparison. Concurrent misses on the same
+//! prefix may both compute it (the results are identical; first insert
+//! wins), exactly like the evaluation cache's miss path.
 
 use crate::Opt;
-use ic_ir::Module;
+use ic_ir::{Module, ModuleKey};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,21 +97,59 @@ pub fn approx_module_bytes(m: &Module) -> usize {
     bytes
 }
 
-/// A trie node: the module after applying the node's prefix to the base
-/// module, plus how many of those prefix passes reported a change (so
-/// cached applications return the same changed count as uncached ones).
+/// A trie node: the (shared) module after applying the node's prefix to
+/// the base module, plus how many of those prefix passes reported a
+/// change (so cached applications return the same changed count as
+/// uncached ones).
 struct Node {
     module: Arc<Module>,
+    key: ModuleKey,
+    /// False only when the module key collided with a different resident
+    /// module: the node then holds (and is charged for) a private copy.
+    interned: bool,
     changed: usize,
-    bytes: usize,
     last_touch: u64,
 }
 
-/// Flat trie state under the mutex.
+/// One distinct resident module and the number of nodes holding it.
+#[derive(Clone)]
+struct Interned {
+    module: Arc<Module>,
+    bytes: usize,
+    nodes: usize,
+}
+
+/// Flat trie state under the mutex. `bytes` sums the distinct resident
+/// modules of `store` plus any private collision copies.
 struct Trie {
     map: HashMap<Box<[Opt]>, Node>,
+    store: HashMap<ModuleKey, Interned>,
     bytes: usize,
     tick: u64,
+}
+
+impl Trie {
+    /// Drop the least-recently-touched node, freeing its module's bytes
+    /// if no other node holds it.
+    fn evict_lru(&mut self) {
+        let lru = self
+            .map
+            .iter()
+            .min_by_key(|(_, n)| n.last_touch)
+            .map(|(k, _)| k.clone())
+            .expect("non-empty map");
+        let node = self.map.remove(&lru).expect("present");
+        if !node.interned {
+            self.bytes -= approx_module_bytes(&node.module);
+            return;
+        }
+        let slot = self.store.get_mut(&node.key).expect("interned node");
+        slot.nodes -= 1;
+        if slot.nodes == 0 {
+            self.bytes -= slot.bytes;
+            self.store.remove(&node.key);
+        }
+    }
 }
 
 /// A thread-safe prefix-tree compilation cache over a fixed base module.
@@ -113,6 +160,7 @@ struct Trie {
 /// already-compiled prefix.
 pub struct PrefixCache {
     base: Arc<Module>,
+    base_key: ModuleKey,
     inner: Mutex<Trie>,
     budget: usize,
     profiler: Option<ic_obs::PassProfiler>,
@@ -144,9 +192,11 @@ impl PrefixCache {
         profiler: Option<ic_obs::PassProfiler>,
     ) -> Self {
         PrefixCache {
+            base_key: ModuleKey::of(&base),
             base: Arc::new(base),
             inner: Mutex::new(Trie {
                 map: HashMap::new(),
+                store: HashMap::new(),
                 bytes: 0,
                 tick: 0,
             }),
@@ -194,20 +244,18 @@ impl PrefixCache {
     pub fn apply_cached(&self, seq: &[Opt]) -> (Module, usize) {
         // Find the deepest cached proper prefix (Arc clone only; the
         // deep copy happens outside the lock).
-        let (start, depth, mut changed) = {
+        let found = {
             let mut t = self.inner.lock();
             t.tick += 1;
             let tick = t.tick;
-            let mut found = None;
-            for d in (1..seq.len()).rev() {
-                if let Some(node) = t.map.get_mut(&seq[..d]) {
-                    node.last_touch = tick;
-                    found = Some((Arc::clone(&node.module), d, node.changed));
-                    break;
-                }
-            }
-            found.unwrap_or_else(|| (Arc::clone(&self.base), 0, 0))
+            (1..seq.len()).rev().find_map(|d| {
+                let node = t.map.get_mut(&seq[..d])?;
+                node.last_touch = tick;
+                Some((Arc::clone(&node.module), node.key, d, node.changed))
+            })
         };
+        let (start, start_key, depth, mut changed) =
+            found.unwrap_or_else(|| (Arc::clone(&self.base), self.base_key, 0, 0));
         if !seq.is_empty() {
             if depth > 0 {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -219,8 +267,10 @@ impl PrefixCache {
         }
 
         // Copy-on-write: the cached post-prefix module stays shared; the
-        // suffix passes mutate a private copy.
+        // suffix passes mutate a private copy. `same` is the interned
+        // module the copy still equals, until a pass reports a change.
         let mut module = (*start).clone();
+        let mut same = Some((start, start_key));
         for (i, &opt) in seq.iter().enumerate().skip(depth) {
             let applied = match &self.profiler {
                 Some(prof) => opt.apply_profiled(&mut module, prof),
@@ -228,6 +278,7 @@ impl PrefixCache {
             };
             if applied {
                 changed += 1;
+                same = None;
             }
             self.passes_run.fetch_add(1, Ordering::Relaxed);
             debug_assert!(
@@ -236,20 +287,43 @@ impl PrefixCache {
                 opt.name(),
                 ic_ir::verify::verify_module(&module).err()
             );
+            debug_assert!(
+                same.as_ref().is_none_or(|s| s.1 == ModuleKey::of(&module)),
+                "pass {} reported no change but changed the module",
+                opt.name()
+            );
             if i + 1 < seq.len() {
-                self.insert(&seq[..=i], &module, changed);
+                same = self.insert(&seq[..=i], &module, same, changed);
             }
         }
         (module, changed)
     }
 
     /// Insert a post-prefix module if absent, then enforce the byte
-    /// budget. Races keep the incumbent (contents are identical anyway).
-    fn insert(&self, prefix: &[Opt], module: &Module, changed: usize) {
+    /// budget. `same` is an interned module equal to `module`, if the
+    /// caller knows one; otherwise the module is interned by key. Returns
+    /// the node's interned module, for an unchanged next pass to share.
+    /// Races keep the incumbent (contents are identical anyway).
+    fn insert(
+        &self,
+        prefix: &[Opt],
+        module: &Module,
+        same: Option<(Arc<Module>, ModuleKey)>,
+        changed: usize,
+    ) -> Option<(Arc<Module>, ModuleKey)> {
         let bytes = approx_module_bytes(module);
         if bytes > self.budget {
-            return; // one oversized module must not thrash the whole LRU
+            return None; // one oversized module must not thrash the whole LRU
         }
+        let (shared, key) = same.unwrap_or_else(|| {
+            let key = ModuleKey::of(module);
+            let resident = self.inner.lock().store.get(&key).cloned();
+            // Keys are hashes: confirm before sharing.
+            match resident.map(|s| s.module) {
+                Some(m) if *m == *module => (m, key),
+                _ => (Arc::new(module.clone()), key),
+            }
+        });
         let mut evicted = 0u64;
         {
             let mut t = self.inner.lock();
@@ -257,34 +331,48 @@ impl PrefixCache {
             let tick = t.tick;
             if let Some(node) = t.map.get_mut(prefix) {
                 node.last_touch = tick;
-            } else {
-                t.map.insert(
-                    prefix.into(),
-                    Node {
-                        module: Arc::new(module.clone()),
-                        changed,
-                        bytes,
-                        last_touch: tick,
-                    },
-                );
-                t.bytes += bytes;
+                return Some((Arc::clone(&node.module), node.key));
             }
-            while t.bytes > self.budget && t.map.len() > 1 {
-                let lru = t
-                    .map
-                    .iter()
-                    .min_by_key(|(_, n)| n.last_touch)
-                    .map(|(k, _)| k.clone())
-                    .expect("non-empty map");
-                if let Some(node) = t.map.remove(&lru) {
-                    t.bytes -= node.bytes;
-                    evicted += 1;
+            let interned = match t.store.get_mut(&key) {
+                Some(slot) if Arc::ptr_eq(&slot.module, &shared) => {
+                    slot.nodes += 1;
+                    true
                 }
+                Some(_) => {
+                    t.bytes += bytes;
+                    false
+                }
+                None => {
+                    let module = Arc::clone(&shared);
+                    t.store.insert(
+                        key,
+                        Interned {
+                            module,
+                            bytes,
+                            nodes: 1,
+                        },
+                    );
+                    t.bytes += bytes;
+                    true
+                }
+            };
+            let node = Node {
+                module: Arc::clone(&shared),
+                key,
+                interned,
+                changed,
+                last_touch: tick,
+            };
+            t.map.insert(prefix.into(), node);
+            while t.bytes > self.budget && t.map.len() > 1 {
+                t.evict_lru();
+                evicted += 1;
             }
         }
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
+        Some((shared, key))
     }
 }
 

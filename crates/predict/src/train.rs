@@ -16,7 +16,7 @@
 
 use crate::encoding;
 use crate::regress::{CostModel, ForestRegressor, KnnRegressor};
-use ic_kb::{KnowledgeBase, ModelRecord};
+use ic_kb::{EvalCacheRecord, KnowledgeBase, ModelRecord};
 use ic_ml::metrics::spearman;
 use ic_ml::ridge::RidgeRegression;
 use ic_search::SequenceSpace;
@@ -66,10 +66,13 @@ impl TrainingSet {
     ) -> TrainingSet {
         let mut ts = TrainingSet::default();
         let mut program_dim: Option<usize> = None;
-        for rec in &kb.eval_caches {
-            if !keep(&rec.context) {
-                continue;
-            }
+        // Rows in (context, dense index) order — every kb write keeps
+        // entries sorted by index — so the training set, and the model,
+        // do not depend on the order records were written in.
+        let mut recs: Vec<&EvalCacheRecord> =
+            kb.eval_caches.iter().filter(|r| keep(&r.context)).collect();
+        recs.sort_by(|a, b| a.context.cmp(&b.context));
+        for rec in recs {
             let program = rec.context.split('@').next().unwrap_or_default();
             let Some(prog) = kb.programs.iter().find(|p| p.program == program) else {
                 continue;

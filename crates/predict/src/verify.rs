@@ -13,9 +13,12 @@
 //!    inner cache so the results memoize;
 //! 4. **predict** — the rest answer with the model's cycles estimate,
 //!    clamped to be no better than the cheapest verified/known cost of
-//!    the batch. Optimistic guesses therefore never displace a
-//!    verified best: a best-so-far trajectory only improves on
-//!    simulated evidence.
+//!    the batch, so optimistic guesses do not outrank evidence when a
+//!    strategy steers by them.
+//!
+//! Predictions never become answers: the search drivers here fold each
+//! batch with [`SearchResult::observe_batch_verified`], so only exact,
+//! memo-backed costs set `best_cost`, `best_seq` and `best_so_far`.
 //!
 //! Predictions are **never** written into the inner memo table (and so
 //! never flushed to the knowledge base) — the exact cache stays exact.
@@ -30,7 +33,7 @@ use crate::encoding;
 use crate::train::TrainedModel;
 use ic_obs::PredictStats;
 use ic_passes::Opt;
-use ic_search::{BatchEvaluator, CachedEvaluator, Evaluator, SequenceSpace};
+use ic_search::{BatchEvaluator, CachedEvaluator, Evaluator, SearchResult, SequenceSpace};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -133,6 +136,13 @@ impl<'a, E: Evaluator> PredictThenVerify<'a, E> {
     /// call `wrapper.evaluate_batch(..)` get prediction while the
     /// trait-object path stays exact.
     pub fn evaluate_batch(&self, seqs: &[Vec<Opt>]) -> Vec<f64> {
+        self.answer(seqs).into_iter().map(|(c, _)| c).collect()
+    }
+
+    /// [`Self::evaluate_batch`] with each cost flagged `true` when it is
+    /// exact (memo-backed or just simulated) and `false` when it is a
+    /// model prediction.
+    pub(crate) fn answer(&self, seqs: &[Vec<Opt>]) -> Vec<(f64, bool)> {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.candidates
             .fetch_add(seqs.len() as u64, Ordering::Relaxed);
@@ -146,7 +156,8 @@ impl<'a, E: Evaluator> PredictThenVerify<'a, E> {
             self.bypassed.fetch_add(1, Ordering::Relaxed);
             self.verified
                 .fetch_add(seqs.len() as u64, Ordering::Relaxed);
-            return BatchEvaluator::evaluate_batch(self.inner, seqs);
+            let costs = BatchEvaluator::evaluate_batch(self.inner, seqs);
+            return costs.into_iter().map(|c| (c, true)).collect();
         };
 
         // 1. Probe the exact memo; collect distinct unknown sequences.
@@ -205,16 +216,22 @@ impl<'a, E: Evaluator> PredictThenVerify<'a, E> {
             .copied()
             .filter(|c| c.is_finite())
             .fold(f64::INFINITY, f64::min);
+        let mut predicted: HashMap<&[Opt], f64> = HashMap::new();
         for &(pred, s) in &ranked[n_verify..] {
             let cost = if floor.is_finite() {
                 pred.max(floor)
             } else {
                 pred
             };
-            resolved.insert(s, cost);
+            predicted.insert(s, cost);
         }
 
-        seqs.iter().map(|s| resolved[s.as_slice()]).collect()
+        seqs.iter()
+            .map(|s| match resolved.get(s.as_slice()) {
+                Some(&c) => (c, true),
+                None => (predicted[s.as_slice()], false),
+            })
+            .collect()
     }
 }
 
@@ -236,14 +253,13 @@ pub fn run_random<E: Evaluator>(
     ptv: &PredictThenVerify<'_, E>,
     budget: usize,
     seed: u64,
-) -> ic_search::SearchResult {
+) -> SearchResult {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     let mut rng = SmallRng::seed_from_u64(seed);
     let seqs: Vec<_> = (0..budget).map(|_| space.sample(&mut rng)).collect();
-    let costs = ptv.evaluate_batch(&seqs);
-    let mut result = ic_search::SearchResult::new();
-    result.observe_batch_costs(&seqs, &costs);
+    let mut result = SearchResult::new();
+    result.observe_batch_verified(&seqs, &ptv.answer(&seqs));
     result
 }
 
@@ -255,14 +271,13 @@ pub fn run_focused<E: Evaluator>(
     budget: usize,
     model: &ic_search::focused::SequenceModel,
     seed: u64,
-) -> ic_search::SearchResult {
+) -> SearchResult {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     let mut rng = SmallRng::seed_from_u64(seed);
     let seqs: Vec<_> = (0..budget).map(|_| model.sample(&mut rng)).collect();
-    let costs = ptv.evaluate_batch(&seqs);
-    let mut result = ic_search::SearchResult::new();
-    result.observe_batch_costs(&seqs, &costs);
+    let mut result = SearchResult::new();
+    result.observe_batch_verified(&seqs, &ptv.answer(&seqs));
     result
 }
 

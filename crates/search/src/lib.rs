@@ -86,7 +86,12 @@ pub struct SearchResult {
 impl SearchResult {
     /// Fold one evaluation into the running result.
     pub(crate) fn observe(&mut self, seq: &[Opt], cost: f64) {
-        if cost < self.best_cost {
+        self.observe_as(seq, cost, true);
+    }
+
+    /// Fold one evaluation; only an `exact` cost may become the best.
+    fn observe_as(&mut self, seq: &[Opt], cost: f64, exact: bool) {
+        if exact && cost < self.best_cost {
             self.best_cost = cost;
             self.best_seq = seq.to_vec();
         }
@@ -112,16 +117,17 @@ impl SearchResult {
         self.best_so_far.len()
     }
 
-    /// Fold a pre-evaluated batch into the result, in input order. This
-    /// is the single observation path of every batched strategy —
-    /// external batch engines that compute costs by other means (e.g. a
-    /// learned cost model that only verifies the top-ranked candidates)
-    /// call it directly, so their trajectories fold exactly like a
-    /// simulate-everything run's.
-    pub fn observe_batch_costs(&mut self, seqs: &[Vec<Opt>], costs: &[f64]) {
-        debug_assert_eq!(seqs.len(), costs.len());
-        for (seq, &cost) in seqs.iter().zip(costs) {
-            self.observe(seq, cost);
+    /// Fold a pre-evaluated batch into the result, in input order: the
+    /// observation path of external batch engines that compute costs by
+    /// other means (e.g. a learned cost model that only verifies the
+    /// top-ranked candidates). Every `(cost, exact)` answer joins
+    /// `evaluated`, but only exact ones may set `best_cost`, `best_seq`
+    /// and `best_so_far`: a prediction is never the answer. An all-exact
+    /// batch folds exactly like a simulate-everything run.
+    pub fn observe_batch_verified(&mut self, seqs: &[Vec<Opt>], answers: &[(f64, bool)]) {
+        debug_assert_eq!(seqs.len(), answers.len());
+        for (seq, &(cost, exact)) in seqs.iter().zip(answers) {
+            self.observe_as(seq, cost, exact);
         }
     }
 
@@ -130,7 +136,9 @@ impl SearchResult {
     /// batched strategies.
     pub(crate) fn observe_batch(&mut self, eval: &dyn Evaluator, seqs: &[Vec<Opt>]) {
         let costs = eval.evaluate_batch(seqs);
-        self.observe_batch_costs(seqs, &costs);
+        for (seq, &cost) in seqs.iter().zip(&costs) {
+            self.observe(seq, cost);
+        }
     }
 }
 

@@ -549,10 +549,10 @@ impl EnginePool {
             .clone())
     }
 
-    /// Snapshot every engine's memo table into `kb`. Returns the total
-    /// number of entries persisted.
+    /// Snapshot every engine's memo table into `kb`, in fingerprint
+    /// order. Returns the total number of entries persisted.
     pub fn flush_to_kb(&self, kb: &Mutex<KnowledgeBase>) -> u64 {
-        let engines: Vec<Arc<Engine>> = self.engines.lock().values().cloned().collect();
+        let engines = self.engines();
         let mut total = 0u64;
         let mut kb = kb.lock();
         for e in engines {
@@ -561,9 +561,11 @@ impl EnginePool {
         total
     }
 
-    /// All resident engines (for stats aggregation).
+    /// All resident engines, in fingerprint order.
     pub fn engines(&self) -> Vec<Arc<Engine>> {
-        self.engines.lock().values().cloned().collect()
+        let mut engines: Vec<Arc<Engine>> = self.engines.lock().values().cloned().collect();
+        engines.sort_by(|a, b| a.fingerprint.cmp(&b.fingerprint));
+        engines
     }
 
     /// The already-built engine for `fingerprint`, if resident — the

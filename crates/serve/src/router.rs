@@ -344,12 +344,15 @@ impl Router {
         Response::Error(e)
     }
 
-    /// Every resident engine across all shards.
+    /// Every resident engine across shards, in fingerprint order.
     fn all_engines(&self) -> Vec<Arc<crate::engine::Engine>> {
-        self.shards
+        let mut engines: Vec<_> = self
+            .shards
             .iter()
             .flat_map(|s| s.engines.engines())
-            .collect()
+            .collect();
+        engines.sort_by(|a, b| a.fingerprint.cmp(&b.fingerprint));
+        engines
     }
 
     fn queue_depth(&self) -> usize {

@@ -603,3 +603,115 @@ fn predict_mode_serves_ranked_searches_and_retrains_online() {
     handle.join();
     let _ = std::fs::remove_file(&kb_path);
 }
+
+/// The seed decides the answer: two fresh daemons fed the same requests
+/// persist the same eval caches in the same order and install the same
+/// models, however their engine maps happen to iterate.
+#[test]
+fn same_requests_persist_the_same_store_and_models() {
+    let run = |tag: &str| {
+        let kb_path = scratch(&format!("{tag}.kb.json"));
+        let _ = std::fs::remove_file(&kb_path);
+        let handle = start(tag, |c| {
+            c.kb_path = Some(kb_path.clone());
+            c.shards = 1;
+            c.predict = true;
+            c.verify_fraction = 0.25;
+            c.retrain_rows = 16;
+        });
+        let mut c = connect(&handle);
+        for k in 0..6 {
+            let mut job = ctx();
+            job.name = format!("hot{k}");
+            job.source = SOURCE.replace("i * 3 + 1", &format!("i * 3 + {k}"));
+            match c.search(job, "random", 12, SEED).expect("search") {
+                Response::Search(s) => assert!(s.best_cost.is_finite()),
+                other => panic!("expected Search, got {other:?}"),
+            }
+        }
+        c.flush().expect("flush round trip");
+        handle.shutdown();
+        handle.join();
+        let kb = KnowledgeBase::load(&kb_path).expect("store parses");
+        let _ = std::fs::remove_file(&kb_path);
+        let models: Vec<_> = kb
+            .models
+            .iter()
+            .map(|m| {
+                (
+                    m.context.clone(),
+                    m.version,
+                    m.kind.clone(),
+                    m.model_json.clone(),
+                )
+            })
+            .collect();
+        (kb.eval_caches, models)
+    };
+    let (caches_a, models_a) = run("det-a");
+    let (caches_b, models_b) = run("det-b");
+    assert_eq!(caches_a.len(), 6);
+    assert!(caches_a.windows(2).all(|w| w[0].context < w[1].context));
+    assert_eq!(caches_a, caches_b, "eval caches differ between daemons");
+    assert!(!models_a.is_empty(), "flush trained no model");
+    assert_eq!(
+        models_a, models_b,
+        "installed models differ between daemons"
+    );
+}
+
+/// A store of 300 000 `[` used to overflow the JSON parser's stack and
+/// abort the daemon at start-up; the nesting cap makes it an ordinary
+/// corrupt store — quarantined to `.bad` while the daemon starts fresh.
+#[test]
+fn absurdly_nested_store_is_quarantined_and_the_daemon_starts() {
+    let kb_path = scratch("deep.kb.json");
+    let bad = scratch("deep.kb.json.bad");
+    let _ = std::fs::remove_file(&bad);
+    std::fs::write(&kb_path, "[".repeat(300_000)).expect("write store");
+    let err = KnowledgeBase::load(&kb_path).expect_err("too deep to load");
+    assert_eq!(err.code(), "format");
+    assert!(err.to_string().contains("nesting deeper than"), "{err}");
+
+    let handle = start("deepkb", |c| c.kb_path = Some(kb_path.clone()));
+    assert!(bad.exists(), "corrupt store not quarantined");
+    let mut c = connect(&handle);
+    assert!(search_ok(&mut c).best_cost.is_finite());
+    handle.shutdown();
+    handle.join();
+    let _ = std::fs::remove_file(&kb_path);
+    let _ = std::fs::remove_file(&bad);
+}
+
+/// A deeply nested request frame gets a coded BadRequest, and the
+/// connection keeps serving.
+#[test]
+fn deeply_nested_frame_is_a_bad_request_not_a_crash() {
+    use ic_serve::proto::{read_frame, write_frame, write_message, AdminRequest};
+    let handle = start("deepframe", |_| {});
+    let mut stream =
+        std::os::unix::net::UnixStream::connect(handle.socket()).expect("connect to daemon");
+    let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone stream"));
+    write_frame(&mut stream, &"[".repeat(300_000)).expect("send deep frame");
+    let reply = read_frame(&mut reader)
+        .expect("read")
+        .expect("a reply frame");
+    match serde_json::from_str::<Response>(&reply).expect("reply parses") {
+        Response::Error(e) => {
+            assert_eq!(e.kind, ErrorKind::BadRequest);
+            assert_eq!(e.code, "bad_request");
+            assert!(e.message.contains("nesting deeper than"), "{}", e.message);
+        }
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
+    write_message(&mut stream, &Request::Admin(AdminRequest::Stats)).expect("send stats");
+    let reply = read_frame(&mut reader)
+        .expect("read")
+        .expect("connection still open");
+    assert!(matches!(
+        serde_json::from_str::<Response>(&reply).expect("reply parses"),
+        Response::Stats(_)
+    ));
+    handle.shutdown();
+    handle.join();
+}

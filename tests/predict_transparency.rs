@@ -44,7 +44,55 @@ fn toy_model(s: &SequenceSpace, feats: &[f64]) -> TrainedModel {
     }
 }
 
+/// A model that ranks like [`toy_model`] but predicts every cost 16x
+/// too low, so each prediction clamps to the batch's verified floor and
+/// ties the verified best.
+fn optimistic_model(s: &SequenceSpace, feats: &[f64]) -> TrainedModel {
+    let rows: Vec<Vec<f64>> = (0..40u64)
+        .map(|i| encoding::row(feats, s, &s.decode(i * 997 % s.count())))
+        .collect();
+    let y: Vec<f64> = (0..40u64)
+        .map(|i| {
+            synthetic_cost(&s.decode(i * 997 % s.count()))
+                .max(1.0)
+                .log2()
+                - 4.0
+        })
+        .collect();
+    let mut model = CostModel::Knn(KnnRegressor::new(5));
+    model.fit(&rows, &y);
+    TrainedModel {
+        model,
+        spearman: 0.0,
+        rows: 40,
+        feature_dim: rows[0].len(),
+        version: 1,
+    }
+}
+
 proptest! {
+    /// Predictions never become answers: whatever the fraction, the
+    /// best sequence's cost is the exact one in the memo table.
+    #[test]
+    fn only_verified_costs_set_the_best(
+        seed in 0u64..u64::MAX,
+        budget in 1usize..60,
+        feats in prop::collection::vec(-4.0f64..4.0, 4),
+    ) {
+        let s = space();
+        for fraction in [0.1, 0.25, 0.5, 1.0] {
+            let cache = CachedEvaluator::new(s.clone(), synthetic_cost);
+            let model = optimistic_model(&s, &feats);
+            let ptv = PredictThenVerify::new(&cache, feats.clone(), Some(model), fraction);
+            let r = intelligent_compilers::predict::run_random(&s, &ptv, budget, seed);
+            prop_assert_eq!(cache.lookup(&r.best_seq), Some(r.best_cost), "fraction {}", fraction);
+            for (i, &b) in r.best_so_far.iter().enumerate() {
+                let seen = r.evaluated[..=i].iter().filter_map(|(q, _)| cache.lookup(q));
+                prop_assert_eq!(b, seen.fold(f64::INFINITY, f64::min));
+            }
+        }
+    }
+
     #[test]
     fn full_verification_is_bit_identical_per_batch(
         indices in prop::collection::vec(0u64..250_000, 1..120),
